@@ -3,7 +3,7 @@
 Sequential first-cycle decomposition: with r elements still unplaced, the
 cycle through a fixed unplaced element has length j with probability
 
-    P(j) = theta * h_(r-j) / (r * h_r),      j = 1..min(alpha, r),
+    P(j) = theta * h_(r-j) / (r * h_r),      j = 1..m,  m = min(alpha, r),
 
 where h_k are the generating-function coefficients (the falling factorials in
 the count of ways to build the cycle cancel against the k! normalizations,
@@ -14,25 +14,37 @@ type. Rejection from the unconstrained measure would instead accept with the
 vanishing probability Z, so this O(n)-per-sample route is the only exact one
 that scales.
 
-Probability rows are built from the saddle-tilted table: with W_k
-proportional to h_k * x^k and X_j = x^j,
+Lengths are drawn by inversion on cumulative sums. Row r's masses are the
+contiguous window h_(r-1), ..., h_lo of one array, lo = r - m, so with the
+prefix sums S_k = sum_(i<=k) h_i and suffix sums R_k = sum_(i>=k) h_i the
+drawn j is the smallest with
 
-    P(j) propto W_(r-j) * X_j,
+    S_(r-j-1) < (1-u) S_(r-1) + u S_(lo-1)      (prefix side), or
+    R_(r-j)   > (1-u) R_r     + u R_lo          (suffix side),
 
-and both factors stay within a few hundred orders of magnitude of 1, so rows
-need no per-draw exponentials or rescaling.
+for the stream's uniform u: one binary search in a table built once per
+model, O(log n) per cycle. Both tables are kept as logs (np.logaddexp
+.accumulate of the untilted log h_k), so they hold coefficients of any
+magnitude, and each target is a logaddexp of two positive terms, with no
+subtraction. Each row reads the side whose complement (S_(lo-1) or R_r) is
+the smaller, so the masses keep their precision whether h rises or falls.
+The draw is vectorised across samples: wave t draws cycle t of every sample
+not yet complete.
 
-RNG contract (identifier "splitmix64-counter-v1", persisted in artifacts):
+RNG contract (identifier "splitmix64-counter-v2", persisted in artifacts):
 sample i of seed s reads the counter-based stream
 
     base  = mix64(s + (i+1)*GAMMA)          (mod 2^64)
     u_t   = (mix64(base + (t+1)*GAMMA) >> 11) * 2^-53
 
-with the splitmix64 finalizer mix64 and GAMMA = 0x9E3779B97F4A7C15. Cycle
-length t consumes position t; member selection consumes positions 2^32, ...
-so the cycle-type marginal of a permutation draw is bit-identical to the
-plain cycle-type draw at the same (seed, counter). Batches are therefore
-order-independent and partition-independent across workers.
+with the splitmix64 finalizer mix64 and GAMMA = 0x9E3779B97F4A7C15. Seeds
+are integers in [0, 2^64). Cycle length t consumes position t; member
+selection consumes positions 2^32, ... so the cycle-type marginal of a
+permutation draw is bit-identical to the plain cycle-type draw at the same
+(seed, counter). Batches are therefore order-independent and
+partition-independent across workers. (v1 read the same stream but mapped u
+to a length through linear-scale rows, which underflowed to zero mass when
+the tilted table spanned more than double range.)
 """
 
 from __future__ import annotations
@@ -43,12 +55,12 @@ from typing import Iterator, List
 
 import numpy as np
 
-from .errors import DomainError, SizeGuardError
+from .errors import DomainError, NumericalError, SizeGuardError
 from .exact import CoefficientTable, egf_coefficients
 from .model import ConstraintModel, CycleType, Permutation, WeightArray
 from .saddle import solve_saddle
 
-RNG_ID = "splitmix64-counter-v1"
+RNG_ID = "splitmix64-counter-v2"
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -61,10 +73,10 @@ _TO_UNIT = 2.0**-53
 # draws at positions 0..n < 2^32, so the streams never collide.
 _MEMBER_STREAM_OFFSET = 1 << 32
 
-# Batches at or below this n with large counts run wave-vectorized over all
-# samples at once (identical draws to the per-sample path, same stream).
-_WAVE_MAX_N = 16
-_WAVE_MIN_COUNT = 4096
+# Samples drawn together in one run of waves. Large enough that per-wave
+# numpy overhead is small against the per-sample work; the int32 lengths
+# matrix of a chunk takes 16 KiB per cycle of its longest draw.
+_CHUNK = 4096
 
 _TYPE_ARRAY_BYTE_GUARD = 4_000_000_000
 
@@ -81,7 +93,7 @@ def mix64(z: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
+    """splitmix64 finalizer on a uint64 array, in place (returns z)."""
     z ^= z >> np.uint64(30)
     z *= _MIX_C1
     z ^= z >> np.uint64(27)
@@ -111,26 +123,60 @@ def _uniforms_np(bases: np.ndarray, t: int) -> np.ndarray:
 
 @dataclass
 class SamplerState:
-    """Precomputed tables plus the (seed, counter) position of the next draw."""
+    """Inversion tables plus the (seed, counter) position of the next draw.
+
+    With S and R the prefix and suffix sums of h_0..h_n (module docstring),
+    _P[k] = log S_(k-1) (so _P[0] = -inf) and _negR[k] = -log R_k, both
+    ascending in k. For each remaining size r, _prefix[r] says which side row
+    r searches, and _hi[r], _lo[r] are the logs of that side's sums at the
+    row's two ends: (log S_(r-1), log S_(lo-1)) or (log R_r, log R_lo).
+    """
 
     model: ConstraintModel
     table: CoefficientTable
     seed: int
     counter: int = 0
-    _W: np.ndarray = field(init=False, repr=False)
-    _WR: np.ndarray = field(init=False, repr=False)
-    _X: np.ndarray = field(init=False, repr=False)
+    _P: np.ndarray = field(init=False, repr=False)
+    _negR: np.ndarray = field(init=False, repr=False)
+    _prefix: np.ndarray = field(init=False, repr=False)
+    _hi: np.ndarray = field(init=False, repr=False)
+    _lo: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+            raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+        n, alpha = self.model.n, self.model.alpha
         logt = self.table.log_tilted_values
-        if len(logt) < self.model.n + 1:
+        if len(logt) < n + 1:
             raise DomainError("coefficient table must cover indices 0..n")
-        self._W = np.exp(logt - np.max(logt))
-        self._WR = self._W[::-1].copy()
-        j = np.arange(1, self.model.alpha + 1, dtype=float)
-        self._X = np.exp(j * math.log(self.table.tilt))
+        # Untilted log h_k; the buffer then becomes the suffix table.
+        R = np.arange(n + 1, dtype=float)
+        R *= -math.log(self.table.tilt)
+        R += logt[: n + 1]
+        P = np.empty(n + 1)
+        P[0] = -np.inf
+        with np.errstate(invalid="ignore"):  # a non-finite entry is reported below
+            np.logaddexp.accumulate(R[:n], out=P[1:])
+            np.logaddexp.accumulate(R[::-1], out=R[::-1])
+        for name, arr, first in (("prefix", P, 1), ("suffix", R, 0)):
+            bad = np.flatnonzero(~np.isfinite(arr[first:]))
+            if len(bad):
+                i = int(bad[0]) + first
+                raise NumericalError(
+                    f"sampler {name} table is not finite at index {i} ({arr[i]}) "
+                    f"for n={n}, alpha={alpha}"
+                )
+        # Rows r <= alpha start at lo = 0, where S_(lo-1) = 0: prefix side.
+        # Rows r = alpha+1..n start at lo = r - alpha = 1..m.
+        m = max(n - alpha, 0)
+        self._prefix = np.ones(n + 1, dtype=bool)
+        self._prefix[alpha + 1 :] = P[1 : m + 1] <= R[alpha + 1 :]
+        self._hi = np.where(self._prefix, P, R)
+        self._lo = np.full(n + 1, -np.inf)
+        self._lo[alpha + 1 :] = np.where(self._prefix[alpha + 1 :], P[1 : m + 1], R[1 : m + 1])
+        self._P = P
+        self._negR = np.negative(R, out=R)
 
     @classmethod
     def for_model(cls, model: ConstraintModel, seed: int) -> "SamplerState":
@@ -139,55 +185,90 @@ class SamplerState:
         table = egf_coefficients(q, model.n, tilt=x)
         return cls(model=model, table=table, seed=seed)
 
-    def _row(self, remaining: int) -> np.ndarray:
-        """Unnormalized P(j) for j = 1..min(alpha, remaining) (shared scale)."""
-        m = min(self.model.alpha, remaining)
-        base = len(self._W) - 1 - remaining  # _WR[base + j] = W[remaining - j]
-        return self._WR[base + 1 : base + 1 + m] * self._X[:m]
-
 
 def first_cycle_pmf(state: SamplerState, remaining: int) -> np.ndarray:
     """P(cycle through a fixed unplaced element has length j), j = 1..min(alpha, remaining).
 
-    The unnormalized masses are theta*h_(r-j)/(r*h_r); their sum is 1 by the
-    coefficient recurrence, which is asserted to 1e-10 before normalizing.
+    The masses are theta*h_(r-j)/(r*h_r), taken as ratios of the tilted table
+    so no coefficient leaves double range. Their sum is 1 by the coefficient
+    recurrence; a sum off by more than 1e-10 raises NumericalError, else the
+    row is returned normalized.
     """
     n = state.model.n
     if not (1 <= remaining <= n):
         raise DomainError(f"remaining must satisfy 1 <= remaining <= n={n}, got {remaining}")
-    row = state._row(remaining)
-    scale = state.model.theta / (remaining * state._W[remaining])
-    total = float(np.sum(row)) * scale
-    assert abs(total - 1.0) <= 1e-10, f"first-cycle masses sum to {total}, not 1"
-    p = row * scale
+    j = np.arange(1, min(state.model.alpha, remaining) + 1)
+    logt = state.table.log_tilted_values
+    log_ratio = logt[remaining - j] - logt[remaining] + j * math.log(state.table.tilt)
+    p = state.model.theta / remaining * np.exp(log_ratio)
+    total = float(np.sum(p))
+    if not abs(total - 1.0) <= 1e-10:
+        raise NumericalError(
+            f"first-cycle masses at remaining={remaining} sum to {total}, not 1"
+        )
     return p / total
 
 
-def _draw_lengths(state: SamplerState, base: int) -> List[int]:
-    """One exact cycle-type draw, returned as cycle lengths in draw order."""
-    rem = state.model.n
-    lengths: List[int] = []
+def _waves(state: SamplerState, bases: np.ndarray) -> Iterator[tuple]:
+    """Yield (t, active, j) until every sample is complete.
+
+    Wave t draws cycle t of each sample not yet complete: active indexes
+    those samples in bases, j holds their lengths. Sample i reads u_t of
+    stream bases[i] only, so its draw does not depend on the other samples.
+    """
+    alpha = state.model.alpha
+    active = np.arange(len(bases))
+    rem = np.full(len(bases), state.model.n, dtype=np.int64)
     t = 0
-    while rem > 0:
-        row = state._row(rem)
-        cdf = np.cumsum(row)
-        m = len(cdf)
-        k = int(np.searchsorted(cdf, _uniform(base, t) * cdf[-1], side="right"))
-        if k >= m:
-            k = m - 1
-        j = k + 1
-        lengths.append(j)
+    while len(active):
+        u = _uniforms_np(bases, t)
+        with np.errstate(divide="ignore"):  # u = 0 gives log(u) = -inf
+            target = np.logaddexp(np.log1p(-u) + state._hi[rem], np.log(u) + state._lo[rem])
+        pre = state._prefix[rem]
+        k = np.empty_like(rem)
+        k[pre] = state._P.searchsorted(target[pre])
+        suf = ~pre
+        k[suf] = state._negR.searchsorted(-target[suf])
+        # Prefix side: k - 1 is the largest index with log S_(k-2) below the
+        # target, i.e. j = r + 1 - k; the suffix side gives the same formula.
+        # The bounds only catch rounding at the row's two ends.
+        j = np.minimum(np.maximum(rem + 1 - k, 1), alpha)
+        yield t, active, j
         rem -= j
+        if np.count_nonzero(rem) < len(rem):
+            left = rem > 0
+            active, rem, bases = active[left], rem[left], bases[left]
         t += 1
-    return lengths
+
+
+def _draw_lengths(state: SamplerState, bases: np.ndarray) -> List[np.ndarray]:
+    """One exact draw per stream base, each as its cycle lengths in draw order."""
+    lengths = np.zeros((len(bases), min(state.model.n, 64)), dtype=np.int32)
+    for t, active, j in _waves(state, bases):
+        if t == lengths.shape[1]:
+            lengths = np.concatenate([lengths, np.zeros_like(lengths)], axis=1)
+        lengths[active, t] = j
+    cycles = np.count_nonzero(lengths, axis=1)
+    return [row[:c].astype(np.int64) for row, c in zip(lengths, cycles)]
+
+
+def _chunk_bases(seed: int, count: int, start_index: int) -> Iterator[tuple]:
+    """(offset, stream bases) for consecutive chunks of a batch."""
+    for lo in range(0, count, _CHUNK):
+        yield lo, _stream_bases_np(seed, start_index + lo, min(_CHUNK, count - lo))
+
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise DomainError(f"count must be >= 0, got {count}")
 
 
 def sample_cycle_type(state: SamplerState) -> CycleType:
     """Exact draw from the cycle-type marginal; advances the state counter."""
     base = stream_base(state.seed, state.counter)
     state.counter += 1
-    lengths = _draw_lengths(state, base)
-    return CycleType.from_lengths(np.asarray(lengths, dtype=np.int64))
+    (lengths,) = _draw_lengths(state, np.array([base], dtype=np.uint64))
+    return CycleType.from_lengths(lengths)
 
 
 def sample_permutation(state: SamplerState) -> Permutation:
@@ -203,12 +284,12 @@ def sample_permutation(state: SamplerState) -> Permutation:
     n = state.model.n
     base = stream_base(state.seed, state.counter)
     state.counter += 1
-    lengths = _draw_lengths(state, base)
+    (lengths,) = _draw_lengths(state, np.array([base], dtype=np.uint64))
     pool = np.arange(n, dtype=np.int64)
     image = np.empty(n, dtype=np.int64)
     ptr = 0
     s = 0
-    for j in lengths:
+    for j in lengths.tolist():
         r = n - ptr
         for step in range(1, j):
             k = r - step
@@ -226,33 +307,6 @@ def sample_permutation(state: SamplerState) -> Permutation:
     return Permutation(image)
 
 
-def _sample_counts_wave(state: SamplerState, count: int, start_index: int) -> np.ndarray:
-    """All samples advanced one cycle per wave; draw-identical to the scalar path."""
-    n, alpha = state.model.n, state.model.alpha
-    cdfs = [np.empty(0)] * (n + 1)
-    for r in range(1, n + 1):
-        cdfs[r] = np.cumsum(state._row(r))
-    bases = _stream_bases_np(state.seed, start_index, count)
-    rem = np.full(count, n, dtype=np.int64)
-    counts = np.zeros((count, n), dtype=np.int32)
-    t = 0
-    active = np.nonzero(rem > 0)[0]
-    while len(active):
-        u = _uniforms_np(bases[active], t)
-        rem_act = rem[active]
-        for r in np.unique(rem_act):
-            sel = rem_act == r
-            rows = active[sel]
-            cdf = cdfs[r]
-            k = np.searchsorted(cdf, u[sel] * cdf[-1], side="right")
-            k = np.minimum(k, len(cdf) - 1)
-            rem[rows] -= k + 1
-            np.add.at(counts, (rows, k), 1)
-        active = active[rem[active] > 0]
-        t += 1
-    return counts
-
-
 def sample_type_array(
     model: ConstraintModel, count: int, seed: int, start_index: int = 0
 ) -> np.ndarray:
@@ -261,21 +315,18 @@ def sample_type_array(
     Row i is the draw at stream index start_index + i, so partitioning a
     batch across workers by index ranges reproduces the same samples.
     """
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
+    _check_count(count)
     if (count * model.n) * 4 > _TYPE_ARRAY_BYTE_GUARD:
         raise SizeGuardError(
             f"type matrix of {count} x {model.n} exceeds the size guard; "
             "use sample_lengths or sample_batch instead"
         )
     state = SamplerState.for_model(model, seed)
-    if model.n <= _WAVE_MAX_N and count >= _WAVE_MIN_COUNT:
-        return _sample_counts_wave(state, count, start_index)
     counts = np.zeros((count, model.n), dtype=np.int32)
-    for i in range(count):
-        base = stream_base(seed, start_index + i)
-        for j in _draw_lengths(state, base):
-            counts[i, j - 1] += 1
+    for lo, bases in _chunk_bases(seed, count, start_index):
+        block = counts[lo : lo + len(bases)]
+        for _, active, j in _waves(state, bases):
+            block[active, j - 1] += 1  # each sample appears once per wave
     return counts
 
 
@@ -286,13 +337,11 @@ def sample_lengths(
 
     The memory-light form for large n: no dense count vectors are built.
     """
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
+    _check_count(count)
     state = SamplerState.for_model(model, seed)
-    out = []
-    for i in range(count):
-        base = stream_base(seed, start_index + i)
-        out.append(np.asarray(_draw_lengths(state, base), dtype=np.int64))
+    out: List[np.ndarray] = []
+    for _, bases in _chunk_bases(seed, count, start_index):
+        out.extend(_draw_lengths(state, bases))
     return out
 
 
@@ -304,15 +353,8 @@ def sample_batch(
     Sample i depends only on (seed, start_index + i): disjoint index ranges
     drawn by different workers concatenate to the same batch.
     """
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
-    if model.n <= _WAVE_MAX_N and count >= _WAVE_MIN_COUNT:
-        counts = sample_type_array(model, count, seed, start_index)
-        for row in counts:
-            yield CycleType(model.n, counts=row, validate=False)
-        return
+    _check_count(count)
     state = SamplerState.for_model(model, seed)
-    for i in range(count):
-        base = stream_base(seed, start_index + i)
-        lengths = _draw_lengths(state, base)
-        yield CycleType.from_lengths(np.asarray(lengths, dtype=np.int64))
+    for _, bases in _chunk_bases(seed, count, start_index):
+        for lengths in _draw_lengths(state, bases):
+            yield CycleType.from_lengths(lengths)

@@ -51,6 +51,11 @@ class TestExitCodes:
     def test_sample_requires_seed(self, capsys):
         assert run(["sample", "--n", "10", "--alpha", "4", "--count", "3"]) == 2
 
+    @pytest.mark.parametrize("count", ["0", "3"])
+    def test_seed_outside_64_bits_is_config_error(self, capsys, count):
+        argv = ["sample", "--n", "10", "--alpha", "4", "--count", count]
+        assert run(argv + ["--seed", str(2**64), "--workers", "1"]) == 2
+
     def test_oracle_size_guard_is_config_error(self, capsys):
         assert run(["oracle", "--n", "40", "--alpha", "3"]) == 2
 

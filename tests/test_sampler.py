@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cyclecap.errors import DomainError, SizeGuardError
-from cyclecap.exact import egf_coefficients
+from cyclecap.errors import DomainError, NumericalError, SizeGuardError
+from cyclecap.exact import CoefficientTable, cycle_count_distribution, egf_coefficients
 from cyclecap.model import ConstraintModel, Permutation, WeightArray, cycle_type_of
 from cyclecap.sampler import (
     RNG_ID,
@@ -47,7 +47,7 @@ class TestRngPrimitives:
             assert mix64(int(z)) == int(v)
 
     def test_rng_id_frozen(self):
-        assert RNG_ID == "splitmix64-counter-v1"
+        assert RNG_ID == "splitmix64-counter-v2"
 
     def test_stream_bases_differ(self):
         bases = {stream_base(42, i) for i in range(100)}
@@ -74,6 +74,43 @@ class TestFirstCyclePmf:
                     * math.exp(table.log_coefficient(r - j) - table.log_coefficient(r))
                 )
                 assert pmf[j - 1] == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "n,alpha,r",
+        # r = 500 at (10^4, 10) and r = 100 at (10^5, 100) lie where the
+        # tilted table sits more than 745 nats below its maximum.
+        [(100_000, 100, 100), (10_000, 10, 500)],
+    )
+    def test_rows_of_a_table_wider_than_double_range(self, n, alpha, r):
+        model = ConstraintModel(n=n, alpha=alpha, theta=1.0)
+        state = SamplerState.for_model(model, seed=0)
+        table = egf_coefficients(WeightArray.for_model(model), r)
+        pmf = first_cycle_pmf(state, r)
+        assert len(pmf) == alpha
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        for j in range(1, alpha + 1):
+            expected = math.exp(table.log_coefficient(r - j) - table.log_coefficient(r)) / r
+            assert pmf[j - 1] == pytest.approx(expected, rel=1e-10)
+
+    def test_masses_off_the_recurrence_raise(self):
+        model = ConstraintModel(n=12, alpha=5, theta=1.0)
+        good = SamplerState.for_model(model, seed=0).table
+        logt = good.log_tilted_values.copy()
+        logt[7] += 1e-3
+        table = CoefficientTable(q=good.q, tilt=good.tilt, log_tilted_values=logt)
+        state = SamplerState(model=model, table=table, seed=0)
+        with pytest.raises(NumericalError):
+            first_cycle_pmf(state, 7)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_table_raises(self, value):
+        model = ConstraintModel(n=12, alpha=5, theta=1.0)
+        good = SamplerState.for_model(model, seed=0).table
+        logt = good.log_tilted_values.copy()
+        logt[4] = value
+        table = CoefficientTable(q=good.q, tilt=good.tilt, log_tilted_values=logt)
+        with pytest.raises(NumericalError):
+            SamplerState(model=model, table=table, seed=0)
 
     def test_remaining_out_of_range(self):
         model = ConstraintModel(n=6, alpha=3, theta=1.0)
@@ -128,6 +165,20 @@ class TestSampleCycleType:
         for part, p in expected.items():
             emp = counts[part] / draws
             assert abs(emp - p) <= 5 * math.sqrt(p * (1 - p) / draws) + 1e-9
+
+
+    @pytest.mark.parametrize("n,alpha", [(10_000, 10), (100_000, 100)])
+    def test_moments_where_the_table_exceeds_double_range(self, n, alpha):
+        model = ConstraintModel(n=n, alpha=alpha, theta=1.0)
+        draws = sample_lengths(model, 200, seed=1)
+        for m in (1, alpha // 2, alpha):
+            p = np.exp(cycle_count_distribution(model, m))
+            k = np.arange(len(p))
+            mean = float(np.dot(k, p))
+            var = float(np.dot(k * k, p)) - mean * mean
+            sampled = np.mean([np.count_nonzero(lengths == m) for lengths in draws])
+            z = (sampled - mean) / math.sqrt(var / len(draws))
+            assert abs(z) <= 5, f"C_{m}: sampled mean {sampled}, exact {mean}, z = {z:.1f}"
 
 
 class TestSamplePermutation:
@@ -204,3 +255,18 @@ class TestBatchPaths:
         model = ConstraintModel(n=5, alpha=2, theta=1.0)
         with pytest.raises(Exception):
             SamplerState.for_model(model, seed=-1)
+
+    @pytest.mark.parametrize("seed", [True, False, 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits_or_bool_rejected(self, seed):
+        model = ConstraintModel(n=5, alpha=2, theta=1.0)
+        with pytest.raises(DomainError):
+            SamplerState.for_model(model, seed=seed)
+        with pytest.raises(DomainError):
+            sample_lengths(model, 0, seed=seed)
+        with pytest.raises(DomainError):
+            sample_type_array(model, 0, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        model = ConstraintModel(n=5, alpha=2, theta=1.0)
+        (lengths,) = sample_lengths(model, 1, seed=2**64 - 1)
+        assert lengths.sum() == 5
