@@ -35,6 +35,7 @@ from .exact import (
     expected_cycle_count,
     joint_cycle_count_logpmf,
     longest_cycle_cdf,
+    mgf_Cm,
     partition_function,
     poisson_means,
 )
@@ -75,8 +76,6 @@ from .saddle import (
     admissibility_report,
     asymptotic_x,
     clt_h_calculus,
-    expected_count,
-    mgf_Cm,
     mu,
     mu_alpha_of,
     regime_report,
@@ -140,6 +139,7 @@ __all__ = [
     "cycle_count_distribution",
     "expected_cycle_count",
     "longest_cycle_cdf",
+    "mgf_Cm",
     # saddle
     "SaddleSolution",
     "solve_saddle",
@@ -154,8 +154,6 @@ __all__ = [
     "regime_report",
     "admissibility_report",
     "saddle_point_coefficient",
-    "mgf_Cm",
-    "expected_count",
     "HCalculus",
     "clt_h_calculus",
     # sampler

@@ -11,9 +11,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4
 regime-guard refusal.
 
 A config file (--config, JSON object of flag names to values) supplies
-defaults; explicit flags override it. --workers (default from the
-CYCLECAP_WORKERS environment variable, else 1) bounds sampling parallelism;
-per-index stream derivation makes results identical for any worker count.
+defaults; explicit flags override it. --workers is accepted and has no
+effect: sampling runs in one process, since a draw costs far less than the
+coefficient table each worker process would rebuild, and per-index stream
+derivation makes results independent of how a batch is split.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .exact import (
     partition_function,
 )
 from .limits import (
+    build_process,
     check_longest_critical,
     check_longest_diverging,
     clt_battery,
@@ -47,13 +49,12 @@ from .saddle import (
     admissibility_report,
     asymptotic_x,
     clt_h_calculus,
+    mu_alpha_of,
     regime_report,
     saddle_point_coefficient,
     solve_model_saddle,
 )
 from .sampler import RNG_ID, sample_lengths
-
-_ENV_WORKERS = "CYCLECAP_WORKERS"
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(_ENV_WORKERS, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, required=False, help="number of elements")
     p.add_argument("--alpha", type=int, default=None, help="explicit cycle-length cap")
@@ -85,7 +78,7 @@ def _add_model_flags(p: argparse.ArgumentParser):
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", type=str, default=None, help="JSON file of flag defaults")
     p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
-    p.add_argument("--workers", type=int, default=None, help="parallel sampling workers")
+    p.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
 
 
 def _apply_config_file(args: argparse.Namespace, parser_defaults: dict):
@@ -189,26 +182,6 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
         raise ConfigError(f"{flag} expects comma-separated integers: {e}")
 
 
-def _generate_lengths(model: ConstraintModel, count: int, seed: int, workers: int):
-    """Per-index derived streams: the partition into workers cannot change results."""
-    if workers <= 1 or count < 2 * workers:
-        return sample_lengths(model, count, seed)
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = np.linspace(0, count, workers + 1).astype(int)
-    chunks = [(model, int(hi - lo), seed, int(lo)) for lo, hi in zip(bounds, bounds[1:])]
-    out = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_lengths_chunk, chunks):
-            out.extend(part)
-    return out
-
-
-def _lengths_chunk(job):
-    model, count, seed, start = job
-    return sample_lengths(model, count, seed, start_index=start)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -252,8 +225,13 @@ def _cmd_sample(args) -> int:
         raise ConfigError(f"--count must be >= 0, got {args.count}")
     if args.seed is None:
         raise ConfigError("--seed is required when sampling")
-    workers = args.workers if args.workers is not None else _default_workers()
-    batch = _generate_lengths(model, args.count, args.seed, workers)
+    if args.emit == "process":
+        if not args.grid:
+            raise ConfigError("--grid is required for --emit process")
+        mu_a = mu_alpha_of(model)
+        # The path of an empty sample validates the grid before any draw.
+        grid = build_process((), model, mu_a, _parse_float_list(args.grid, "--grid")).grid
+    batch = sample_lengths(model, args.count, args.seed)
     if args.emit == "types":
         rows = []
         for i, lengths in enumerate(batch):
@@ -270,17 +248,9 @@ def _cmd_sample(args) -> int:
             rows.append((i, top[0], top[1], top[2]))
         _emit_csv(args, ("index", "ell1", "ell2", "ell3"), rows, with_rng=True)
     else:  # process
-        if not args.grid:
-            raise ConfigError("--grid is required for --emit process")
-        grid = _parse_float_list(args.grid, "--grid")
-        from .limits import d_cutoff
-        from .saddle import mu_alpha_of
-
-        mu_a = mu_alpha_of(model)
-        d = [d_cutoff(t, mu_a, model.alpha) for t in grid]
         rows = []
         for i, lengths in enumerate(batch):
-            rows.append((i, *(int(np.count_nonzero(lengths > dv)) for dv in d)))
+            rows.append((i, *build_process(lengths, model, mu_a, grid).counts))
         _emit_csv(
             args,
             ("index", *(f"P_{t:g}" for t in grid)),
@@ -317,12 +287,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_spcheck(args) -> int:
     model = _model_from_args(args)
-    from .exact import egf_coefficients
-
     q = WeightArray.for_model(model)
     approx = saddle_point_coefficient(q, model.n)
-    sol = solve_model_saddle(model)
-    exact_log = egf_coefficients(q, model.n, tilt=sol.x).log_coefficient(model.n)
+    exact_log = partition_function(model).logval
     diag = admissibility_report(q, model.n)
     result = {
         "log_exact": exact_log,
@@ -348,8 +315,7 @@ def _cmd_limits(args) -> int:
         raise ConfigError("--samples is required")
     if args.seed is None:
         raise ConfigError("--seed is required when sampling")
-    workers = args.workers if args.workers is not None else _default_workers()
-    batch = _generate_lengths(model, args.samples, args.seed, workers)
+    batch = sample_lengths(model, args.samples, args.seed)
     check = args.check
     if check == "diverging":
         frac = check_longest_diverging(batch, model, args.K)
@@ -365,7 +331,7 @@ def _cmd_limits(args) -> int:
             "empirical_rest": table.empirical_rest,
             "theoretical_rest": table.theoretical_rest,
         }
-    elif check in ("process", "spacings"):
+    elif check == "process":
         if not args.grid:
             raise ConfigError("--grid is required for the process battery")
         grid = _parse_float_list(args.grid, "--grid")
@@ -517,7 +483,7 @@ def _build_parser() -> _Parser:
     _add_common_flags(p)
     p.add_argument(
         "--check",
-        choices=("diverging", "critical", "process", "spacings", "tightness", "clt"),
+        choices=("diverging", "critical", "process", "tightness", "clt"),
         default=None,
     )
     p.add_argument("--samples", type=int, default=None)

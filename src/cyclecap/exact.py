@@ -25,10 +25,9 @@ contract. Exact zeros stay exact.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,7 +47,7 @@ from .model import (
     ewens_log_weight,
 )
 from .numerics import NEG_INF, LogReal, log_sum_exp_value
-from .saddle import solve_saddle
+from .saddle import _perturbed_row, saddle_point_coefficient, solve_saddle
 
 _W_LOG_CAP = 115.0  # keeps w_j * (window entry <= 1e250) below double overflow
 _RESCALE_HI = 1e250
@@ -118,16 +117,6 @@ class CoefficientTable:
     def coefficient(self, k: int) -> LogReal:
         return LogReal(self.log_coefficient(k))
 
-    @cached_property
-    def log_coefficients(self) -> np.ndarray:
-        """Untilted log h_k for k = 0..N as one array."""
-        k = np.arange(self.N + 1)
-        return self.log_tilted_values - k * math.log(self.tilt)
-
-    @cached_property
-    def h(self) -> Tuple[LogReal, ...]:
-        return tuple(LogReal(float(v)) for v in self.log_coefficients)
-
     def recurrence_rel_error(self, k: int) -> float:
         """|rhs/lhs - 1| for k*h_k = sum_j q_j*h_{k-j} at this k (0 if both vanish)."""
         self._check_index(k)
@@ -182,6 +171,49 @@ def egf_coefficients(q: WeightArray, N: int, tilt: float = None) -> CoefficientT
     return CoefficientTable(q=q, tilt=x, log_tilted_values=log_tilted)
 
 
+@dataclass(frozen=True)
+class TiltedModel:
+    """A model at its saddle tilt x: the Poisson means and the h-table there.
+
+    model is the bare (n, alpha, theta) triple, mu[j-1] = theta * x^j / j for
+    j = 1..alpha, and table holds the coefficients h_0..h_n of
+    exp(theta * sum_{j<=alpha} z^j/j) tilted by x. Every exact query and the
+    sampler read these; both arrays are read-only because the most recent
+    model's context is cached and shared.
+    """
+
+    model: ConstraintModel
+    x: float
+    mu: np.ndarray = field(repr=False)
+    table: CoefficientTable = field(repr=False)
+
+    @classmethod
+    def for_model(cls, model: ConstraintModel) -> "TiltedModel":
+        # Keyed by the triple: an AlphaRule table is a dict, so the model
+        # itself need not be hashable.
+        return _build_tilted(model.n, model.alpha, model.theta)
+
+    @property
+    def log_p_total(self) -> float:
+        """log P[T_(0,alpha) = n] = log(h_n x^n) - sum_j mu_j."""
+        return self.table.log_tilted(self.model.n) - float(np.sum(self.mu))
+
+
+# One entry: callers group their queries by model, and every entry kept
+# holds an (n+1)-table that a later model no longer needs.
+@functools.lru_cache(maxsize=1)
+def _build_tilted(n: int, alpha: int, theta: float) -> TiltedModel:
+    model = ConstraintModel(n=n, alpha=alpha, theta=theta)
+    q = WeightArray.for_model(model)
+    x = solve_saddle(q, float(n)).x
+    table = egf_coefficients(q, n, tilt=x)
+    j = np.arange(1, alpha + 1, dtype=float)
+    mu = theta * np.exp(j * math.log(x)) / j
+    for shared in (mu, q.q, table.log_tilted_values):
+        shared.setflags(write=False)
+    return TiltedModel(model=model, x=x, mu=mu, table=table)
+
+
 def partition_function(model: ConstraintModel) -> LogReal:
     """log Z: the order-n coefficient of exp(theta * sum_{j<=alpha} z^j/j).
 
@@ -189,10 +221,7 @@ def partition_function(model: ConstraintModel) -> LogReal:
     runs at the saddle tilt purely for dynamic-range control, and the result
     is tilt-invariant.
     """
-    q = WeightArray.for_model(model)
-    x = solve_saddle(q, float(model.n)).x
-    table = egf_coefficients(q, model.n, tilt=x)
-    return table.coefficient(model.n)
+    return TiltedModel.for_model(model).table.coefficient(model.n)
 
 
 MeansLike = Union[Mapping[int, float], Sequence[float], np.ndarray]
@@ -247,10 +276,6 @@ class CompoundPoissonDist:
     def p(self, k: int) -> float:
         return math.exp(self.log_p(k))
 
-    @cached_property
-    def pmf(self) -> Tuple[LogReal, ...]:
-        return tuple(LogReal(float(v)) for v in self.log_pmf_values)
-
     def panjer_rel_error(self, k: int) -> float:
         """|rhs/lhs - 1| for k*p_k = sum_j j*mu_j*p_{k-j} (0 if both vanish)."""
         if not (1 <= k <= self.N):
@@ -299,10 +324,8 @@ def compound_poisson_pmf(means: MeansLike, N: int, first_index: int = 1) -> Comp
 
 
 def poisson_means(model: ConstraintModel) -> np.ndarray:
-    """mu_j = theta * x^j / j for j = 1..alpha at the saddle tilt x."""
-    x = solve_saddle(WeightArray.for_model(model), float(model.n)).x
-    j = np.arange(1, model.alpha + 1, dtype=float)
-    return model.theta * np.exp(j * math.log(x)) / j
+    """mu_j = theta * x^j / j for j = 1..alpha at the saddle tilt x (a copy)."""
+    return TiltedModel.for_model(model).mu.copy()
 
 
 def joint_cycle_count_logpmf(model: ConstraintModel, prefix: Sequence[int]) -> LogReal:
@@ -310,7 +333,8 @@ def joint_cycle_count_logpmf(model: ConstraintModel, prefix: Sequence[int]) -> L
 
     Computed as prod_j Poisson(c_j; mu_j) * P[T_(b,alpha) = n-r] / P[T_(0,alpha) = n]
     with r = sum_j j*c_j and mu_j at the saddle tilt; the identity is exact,
-    not an approximation. Returns log 0 when r > n.
+    not an approximation, and the denominator is read off the h-table as
+    h_n x^n e^(-sum mu_j). Returns log 0 when r > n.
     """
     c = np.asarray(prefix, dtype=float)
     b = len(c)
@@ -322,11 +346,11 @@ def joint_cycle_count_logpmf(model: ConstraintModel, prefix: Sequence[int]) -> L
     r = int(np.dot(j, c))
     if r > model.n:
         return LogReal.zero()
-    mu = poisson_means(model)
+    tm = TiltedModel.for_model(model)
+    mu = tm.mu
     log_poisson = float(np.sum(-mu[:b] + c * np.log(mu[:b]) - [math.lgamma(ci + 1) for ci in c]))
     rest = compound_poisson_pmf(mu[b:], model.n - r, first_index=b + 1)
-    full = compound_poisson_pmf(mu, model.n)
-    return LogReal(log_poisson + rest.log_p(model.n - r) - full.log_p(model.n))
+    return LogReal(log_poisson + rest.log_p(model.n - r) - tm.log_p_total)
 
 
 @dataclass(frozen=True)
@@ -355,20 +379,19 @@ def exact_tv_distance(model: ConstraintModel, b: int) -> TVReport:
 
     The sum runs over r = 0..n; mass of T_0b beyond n contributes with full
     clamp 1 (those r force an impossible remainder). b = 0 compares empty
-    vectors and gives 0.
+    vectors and gives 0. P[T_0a = n] is read off the h-table.
     """
     if not (0 <= b <= model.alpha):
         raise ConstraintError(f"need 0 <= b <= alpha={model.alpha}, got b={b}")
-    mu = poisson_means(model)
+    tm = TiltedModel.for_model(model)
+    mu = tm.mu
     if b == 0:
         return TVReport(b=0, tv=0.0, terms_summed=0, model=model, mu_used=mu[:0])
     n = model.n
     head = compound_poisson_pmf(mu[:b], n)
     rest = compound_poisson_pmf(mu[b:], n, first_index=b + 1)
-    full = compound_poisson_pmf(mu, n)
-    log_ref = full.log_p(n)
     with np.errstate(over="ignore"):
-        ratio = np.exp(rest.log_pmf_values[::-1] - log_ref)  # index r -> T_ba at n-r
+        ratio = np.exp(rest.log_pmf_values[::-1] - tm.log_p_total)  # index r -> T_ba at n-r
     clamp = np.clip(1.0 - ratio, 0.0, 1.0)
     with np.errstate(under="ignore"):
         tv = float(np.dot(np.exp(head.log_pmf_values), clamp)) + head.tail_mass
@@ -422,10 +445,9 @@ def cycle_count_distribution(model: ConstraintModel, m: int) -> np.ndarray:
     """
     if not (1 <= m <= model.alpha):
         raise ConstraintError(f"m must satisfy 1 <= m <= alpha={model.alpha}, got {m}")
-    q = WeightArray.for_model(model)
-    x = solve_saddle(q, float(model.n)).x
-    h = egf_coefficients(q, model.n, tilt=x)
-    g = egf_coefficients(q.replace(m, 0.0), model.n, tilt=x)
+    tm = TiltedModel.for_model(model)
+    h = tm.table
+    g = egf_coefficients(WeightArray.for_model(model).replace(m, 0.0), model.n, tilt=tm.x)
     kmax = model.n // m
     log_rate = math.log(model.theta / m)
     out = np.empty(kmax + 1)
@@ -444,9 +466,7 @@ def expected_cycle_count(model: ConstraintModel, m: int) -> float:
     """Exact E[C_m] = (theta/m) * h_(n-m)/h_n."""
     if not (1 <= m <= model.alpha):
         raise ConstraintError(f"m must satisfy 1 <= m <= alpha={model.alpha}, got {m}")
-    q = WeightArray.for_model(model)
-    x = solve_saddle(q, float(model.n)).x
-    table = egf_coefficients(q, model.n, tilt=x)
+    table = TiltedModel.for_model(model).table
     return (model.theta / m) * math.exp(
         table.log_coefficient(model.n - m) - table.log_coefficient(model.n)
     )
@@ -458,8 +478,28 @@ def longest_cycle_cdf(model: ConstraintModel, m: int) -> float:
         raise ConstraintError(f"m must satisfy 0 <= m <= alpha={model.alpha}, got {m}")
     if m == 0:
         return 0.0 if model.n > 0 else 1.0
-    q = WeightArray.for_model(model)
-    x = solve_saddle(q, float(model.n)).x
-    h = egf_coefficients(q, model.n, tilt=x)
-    capped = egf_coefficients(WeightArray.constant(model.theta, m), model.n, tilt=x)
-    return math.exp(capped.log_coefficient(model.n) - h.log_coefficient(model.n))
+    tm = TiltedModel.for_model(model)
+    capped = egf_coefficients(WeightArray.constant(model.theta, m), model.n, tilt=tm.x)
+    return math.exp(capped.log_coefficient(model.n) - tm.table.log_coefficient(model.n))
+
+
+def mgf_Cm(model: ConstraintModel, m: int, s: float, mode: str = "exact") -> float:
+    """E[exp(s * C_m)] under the constrained measure.
+
+    exact:  h-table of the row with q_m = theta e^s over the model's h-table,
+            both at the unperturbed tilt so they share one scale.
+    approx: ratio of the two leading saddle-point terms (s >= 0, matching the
+            regime the approximation is proved in).
+    """
+    q_pert = _perturbed_row(model, m, math.exp(s))
+    if mode == "exact":
+        tm = TiltedModel.for_model(model)
+        num = egf_coefficients(q_pert, model.n, tilt=tm.x).log_tilted(model.n)
+        return math.exp(num - tm.table.log_tilted(model.n))
+    if mode == "approx":
+        if s < 0:
+            raise ConstraintError("approx mode is stated for s >= 0")
+        num = saddle_point_coefficient(q_pert, model.n)
+        den = saddle_point_coefficient(WeightArray.for_model(model), model.n)
+        return math.exp(num.logval - den.logval)
+    raise ConstraintError(f"unknown mgf mode {mode!r}")

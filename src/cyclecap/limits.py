@@ -111,11 +111,14 @@ def _validated_grid(grid) -> np.ndarray:
     return g
 
 
-def build_process(ctype: CycleType, model: ConstraintModel, mu_alpha: float, grid) -> ProcessPath:
-    """Evaluate the long-cycle counting process of one sample on a time grid."""
+def build_process(sample, model: ConstraintModel, mu_alpha: float, grid) -> ProcessPath:
+    """Evaluate the long-cycle counting process of one sample on a time grid.
+
+    The sample is a CycleType or an array of its cycle lengths.
+    """
     g = _validated_grid(grid)
     d = np.array([d_cutoff(t, mu_alpha, model.alpha) for t in g], dtype=np.int64)
-    lengths = ctype.lengths()
+    lengths = _as_lengths(sample)
     counts = np.array([int(np.count_nonzero(lengths > dv)) for dv in d], dtype=np.int64)
     return ProcessPath(grid=g, counts=counts, d_values=d)
 

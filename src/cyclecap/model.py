@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
@@ -70,12 +71,19 @@ class ConstraintModel:
     alpha_rule: Optional[AlphaRule] = None
 
     def __post_init__(self):
+        # Python and numpy integers have __index__, floats do not; bools are
+        # integers to Python but never a meaningful size.
+        for name in ("n", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n}")
         if not (1 <= self.alpha <= self.n):
             raise ConfigError(f"alpha must satisfy 1 <= alpha <= n, got alpha={self.alpha}, n={self.n}")
-        if not (self.theta > 0):
-            raise ConfigError(f"theta must be positive, got {self.theta}")
+        if not (0 < self.theta < math.inf):
+            raise ConfigError(f"theta must be positive and finite, got {self.theta}")
 
     @classmethod
     def from_exponent(cls, n: int, beta: float, theta: float) -> "ConstraintModel":

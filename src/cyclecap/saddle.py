@@ -26,8 +26,9 @@ the leading saddle-point coefficient approximation
 
     [z^n] f(z) exp(sum_j (q_j/j) z^j)  ~=  f(x) e^lambda_0 / (x^n sqrt(2 pi lambda_2)),
 
-the exact/approximate moment generating function of the m-cycle count, and the
-h(s) calculus used by the central-limit checks.
+and the h(s) calculus used by the central-limit checks. Exact quantities,
+the moment generating function of C_m included, live in `exact`, which builds
+on this module; nothing here imports `exact`.
 """
 
 from __future__ import annotations
@@ -397,50 +398,6 @@ def _perturbed_row(model: ConstraintModel, m: int, factor: float) -> WeightArray
     if not (1 <= m <= model.alpha):
         raise ConstraintError(f"m must satisfy 1 <= m <= alpha={model.alpha}, got {m}")
     return WeightArray.for_model(model).replace(m, model.theta * factor)
-
-
-def mgf_Cm(model: ConstraintModel, m: int, s: float, mode: str = "exact") -> float:
-    """E[exp(s * C_m)] under the constrained measure.
-
-    exact:  ratio of two DP runs (numerator row has q_m = theta e^s), both at
-            the unperturbed tilt so they share one scale.
-    approx: ratio of the two leading saddle-point terms (s >= 0, matching the
-            regime the approximation is proved in).
-    """
-    from .exact import egf_coefficients
-
-    q_base = WeightArray.for_model(model)
-    q_pert = _perturbed_row(model, m, math.exp(s))
-    if mode == "exact":
-        x = solve_saddle(q_base, float(model.n)).x
-        num = egf_coefficients(q_pert, model.n, tilt=x).log_tilted(model.n)
-        den = egf_coefficients(q_base, model.n, tilt=x).log_tilted(model.n)
-        return math.exp(num - den)
-    if mode == "approx":
-        if s < 0:
-            raise ConstraintError("approx mode is stated for s >= 0")
-        num = saddle_point_coefficient(q_pert, model.n)
-        den = saddle_point_coefficient(q_base, model.n)
-        return math.exp(num.logval - den.logval)
-    raise ConstraintError(f"unknown mgf mode {mode!r}")
-
-
-def expected_count(model: ConstraintModel, m: int) -> float:
-    """Exact E[C_m] = (theta/m) * h_(n-m) / h_n (one DP run).
-
-    This is d/ds mgf_Cm at s = 0 in closed form: differentiating the EGF in
-    q_m pulls down z^m/m.
-    """
-    from .exact import egf_coefficients
-
-    if not (1 <= m <= model.alpha):
-        raise ConstraintError(f"m must satisfy 1 <= m <= alpha={model.alpha}, got {m}")
-    q = WeightArray.for_model(model)
-    x = solve_saddle(q, float(model.n)).x
-    table = egf_coefficients(q, model.n, tilt=x)
-    return (model.theta / m) * math.exp(
-        table.log_coefficient(model.n - m) - table.log_coefficient(model.n)
-    )
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,9 @@ class TestExitCodes:
         assert run(["saddle", "--n", "0", "--alpha", "5"]) == 2
         assert run(["saddle", "--n", "100", "--alpha", "5", "--theta", "-1"]) == 2
 
+    def test_infinite_theta_is_config_error(self, capsys):
+        assert run(["partition", "--n", "10", "--alpha", "3", "--theta", "inf"]) == 2
+
     def test_regime_guard_exits_four(self, capsys):
         # alpha = 95 at n = 2000 is critical; the diverging battery refuses
         code = run(
@@ -55,6 +58,10 @@ class TestExitCodes:
     def test_seed_outside_64_bits_is_config_error(self, capsys, count):
         argv = ["sample", "--n", "10", "--alpha", "4", "--count", count]
         assert run(argv + ["--seed", str(2**64), "--workers", "1"]) == 2
+
+    def test_spacings_alias_removed(self, capsys):
+        argv = ["limits", "--n", "2000", "--alpha", "400", "--check", "spacings"]
+        assert run(argv + ["--samples", "10", "--seed", "1", "--grid", "0.5,1"]) == 2
 
     def test_oracle_size_guard_is_config_error(self, capsys):
         assert run(["oracle", "--n", "40", "--alpha", "3"]) == 2
@@ -164,6 +171,29 @@ class TestDeterminism:
             cells = [int(v) for v in row.split(",")[1:]]
             assert all(a >= b for a, b in zip(cells, cells[1:]))
             assert cells[0] <= 6
+
+    def test_process_emission_pinned(self, capsys):
+        code, out = run_capture(
+            [
+                "sample", "--n", "200", "--alpha", "60", "--count", "6",
+                "--seed", "3", "--emit", "process", "--grid", "0.5,1,2",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert out == (
+            f"# cyclecap {__version__}\n"
+            '# config: {"alpha": 60, "beta": null, "command": "sample", "count": 6, '
+            '"emit": "process", "grid": "0.5,1,2", "n": 200, "seed": 3, "theta": 1.0}\n'
+            f"# rng: {RNG_ID}\n"
+            "index,P_0.5,P_1,P_2\n"
+            "0,0,0,2\n1,0,0,1\n2,0,1,1\n3,0,1,1\n4,0,1,2\n5,1,1,2\n"
+        )
+
+    @pytest.mark.parametrize("count", ["0", "2"])
+    def test_process_emission_refuses_unordered_grid(self, capsys, count):
+        argv = ["sample", "--n", "200", "--alpha", "60", "--count", count, "--seed", "3"]
+        assert run(argv + ["--emit", "process", "--grid", "2,1"]) == 2
 
 
 class TestConfigFile:

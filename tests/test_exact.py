@@ -11,8 +11,10 @@ from cyclecap.errors import (
     DomainError,
     SizeGuardError,
 )
+import cyclecap.exact as exact
 from cyclecap.exact import (
     CoefficientTable,
+    TiltedModel,
     brute_force_distribution,
     chernoff_tail_bound,
     compound_poisson_pmf,
@@ -22,10 +24,12 @@ from cyclecap.exact import (
     expected_cycle_count,
     joint_cycle_count_logpmf,
     longest_cycle_cdf,
+    mgf_Cm,
     partition_function,
     poisson_means,
 )
-from cyclecap.model import ConstraintModel, CycleType, WeightArray
+from cyclecap.model import AlphaRule, ConstraintModel, CycleType, WeightArray
+from cyclecap.sampler import sample_lengths
 from oracles import (
     conditioned_distribution,
     counts_prefix,
@@ -363,3 +367,54 @@ class TestPoissonMeans:
         model = ConstraintModel(n=500, alpha=40, theta=1.7)
         mu = poisson_means(model)
         assert float((np.arange(1, 41) * mu).sum()) == pytest.approx(500.0, rel=1e-9)
+
+    def test_mutating_the_returned_means_changes_nothing_later(self):
+        model = ConstraintModel(n=300, alpha=17, theta=1.9)
+        mu = poisson_means(model)
+        before = (exact_tv_distance(model, 4).tv, joint_cycle_count_logpmf(model, [1, 2]).logval)
+        mu[:] = 0.0
+        after = (exact_tv_distance(model, 4).tv, joint_cycle_count_logpmf(model, [1, 2]).logval)
+        assert after == before
+        assert np.all(poisson_means(model) > 0)
+        assert not TiltedModel.for_model(model).mu.flags.writeable
+
+
+class TestTiltedModel:
+    def test_one_table_build_serves_the_queries_of_one_model(self, monkeypatch):
+        model = ConstraintModel(n=400, alpha=20, theta=1.3)
+        calls = []
+        dp = exact._log_linear_dp
+
+        def counting_dp(logw, N):
+            calls.append((len(logw), bool(np.all(np.isfinite(logw)))))
+            return dp(logw, N)
+
+        monkeypatch.setattr(exact, "_log_linear_dp", counting_dp)
+        exact._build_tilted.cache_clear()
+        partition_function(model)
+        for m in (1, 10, 20):
+            expected_cycle_count(model, m)
+        exact_tv_distance(model, 5)
+        # The h-table is the only full-width row with every weight present;
+        # the TV distance adds its two compound-Poisson tables (b = 5 and the rest).
+        assert calls.count((20, True)) == 1
+        assert len(calls) == 3
+
+    def test_model_with_a_table_rule_runs_end_to_end(self):
+        plain = ConstraintModel(n=30, alpha=5, theta=1.2)
+        ruled = ConstraintModel(n=30, alpha=5, theta=1.2, alpha_rule=AlphaRule(table={30: 5, 40: 6}))
+
+        def results(model):
+            return (
+                partition_function(model).logval,
+                expected_cycle_count(model, 3),
+                cycle_count_distribution(model, 5).tolist(),
+                longest_cycle_cdf(model, 4),
+                exact_tv_distance(model, 2).tv,
+                joint_cycle_count_logpmf(model, [2, 1]).logval,
+                mgf_Cm(model, 2, 0.4),
+                poisson_means(model).tolist(),
+                [x.tolist() for x in sample_lengths(model, 5, seed=4)],
+            )
+
+        assert results(ruled) == results(plain)

@@ -74,6 +74,25 @@ class TestConstraintModel:
         with pytest.raises(ConfigError):
             ConstraintModel(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=5.5, alpha=2, theta=1.0),
+            dict(n=True, alpha=1, theta=1.0),
+            dict(n=10, alpha=2.5, theta=1.0),
+            dict(n=10, alpha=2, theta=math.inf),
+        ],
+        ids=["fractional_n", "bool_n", "fractional_alpha", "infinite_theta"],
+    )
+    def test_refuses_inputs_it_would_coerce(self, kwargs):
+        with pytest.raises(ConfigError):
+            ConstraintModel(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        m = ConstraintModel(n=np.int64(10), alpha=np.int32(4), theta=0.5)
+        assert (m.n, m.alpha) == (10, 4)
+        assert type(m.n) is int and type(m.alpha) is int
+
     def test_from_exponent(self):
         m = ConstraintModel.from_exponent(100, 0.5, 2.0)
         assert m.alpha == 10

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from cyclecap.errors import ConstraintError, RegimeError
-from cyclecap.exact import egf_coefficients, expected_cycle_count
+from cyclecap.exact import egf_coefficients, expected_cycle_count, mgf_Cm
 from cyclecap.model import ConstraintModel, WeightArray
 from cyclecap.saddle import (
     CONSTANT_ONE,
     admissibility_report,
     asymptotic_x,
     clt_h_calculus,
-    expected_count,
-    mgf_Cm,
     mu,
     mu_alpha_of,
     power_probe,
@@ -253,18 +251,11 @@ class TestMgf:
 
 
 class TestExpectedCount:
-    def test_agrees_with_exact_module(self):
-        model = ConstraintModel(n=300, alpha=17, theta=1.5)
-        for m in (1, 8, 17):
-            assert expected_count(model, m) == pytest.approx(
-                expected_cycle_count(model, m), rel=1e-12
-            )
-
     def test_close_to_mu_in_bulk(self):
         model = ConstraintModel(n=10**4, alpha=251, theta=1.0)
         sol = solve_model_saddle(model)
         for m in (1, 125, 251):
-            ratio = expected_count(model, m) / mu(sol, 1.0, m)
+            ratio = expected_cycle_count(model, m) / mu(sol, 1.0, m)
             assert abs(ratio - 1.0) < 0.1
 
 

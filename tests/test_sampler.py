@@ -213,7 +213,8 @@ class TestSamplePermutation:
 class TestBatchPaths:
     def test_wave_equals_per_draw(self):
         model = ConstraintModel(n=12, alpha=5, theta=1.0)
-        arr = sample_type_array(model, 5000, seed=3)  # wave path (n small, count big)
+        # The chunked batch entry point against one-draw-at-a-time calls.
+        arr = sample_type_array(model, 5000, seed=3)
         state = SamplerState.for_model(model, seed=3)
         for i in range(5000):
             assert np.array_equal(arr[i], sample_cycle_type(state).to_dense())
