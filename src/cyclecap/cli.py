@@ -11,10 +11,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4
 regime-guard refusal.
 
 A config file (--config, JSON object of flag names to values) supplies
-defaults; explicit flags override it. --workers is accepted and has no
-effect: sampling runs in one process, since a draw costs far less than the
-coefficient table each worker process would rebuild, and per-index stream
-derivation makes results independent of how a batch is split.
+defaults; explicit flags override it. List flags (--grid, --s-grid,
+--triple) take finite numbers only. --workers is deprecated and will be
+removed in the next release; it is accepted and has no effect: sampling runs
+in one process, since a draw costs far less than the coefficient table each
+worker process would rebuild, and per-index stream derivation makes results
+independent of how a batch is split.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .exact import (
     partition_function,
 )
 from .limits import (
-    build_process,
+    _cutoffs,
+    _process_counts,
+    _validated_grid,
     check_longest_critical,
     check_longest_diverging,
     clt_battery,
@@ -78,7 +82,7 @@ def _add_model_flags(p: argparse.ArgumentParser):
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", type=str, default=None, help="JSON file of flag defaults")
     p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
-    p.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
+    p.add_argument("--workers", type=int, default=None, help="deprecated; has no effect")
 
 
 def _apply_config_file(args: argparse.Namespace, parser_defaults: dict):
@@ -170,9 +174,12 @@ def _emit_csv(args, header: Sequence[str], rows, with_rng: bool = False) -> None
 
 def _parse_float_list(text: str, flag: str) -> List[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as e:
         raise ConfigError(f"{flag} expects comma-separated numbers: {e}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{flag} expects finite numbers, got {text!r}")
+    return values
 
 
 def _parse_int_list(text: str, flag: str) -> List[int]:
@@ -229,8 +236,8 @@ def _cmd_sample(args) -> int:
         if not args.grid:
             raise ConfigError("--grid is required for --emit process")
         mu_a = mu_alpha_of(model)
-        # The path of an empty sample validates the grid before any draw.
-        grid = build_process((), model, mu_a, _parse_float_list(args.grid, "--grid")).grid
+        grid = _validated_grid(_parse_float_list(args.grid, "--grid"))  # before any draw
+        d = _cutoffs(grid, mu_a, model.alpha)
     batch = sample_lengths(model, args.count, args.seed)
     if args.emit == "types":
         rows = []
@@ -248,9 +255,7 @@ def _cmd_sample(args) -> int:
             rows.append((i, top[0], top[1], top[2]))
         _emit_csv(args, ("index", "ell1", "ell2", "ell3"), rows, with_rng=True)
     else:  # process
-        rows = []
-        for i, lengths in enumerate(batch):
-            rows.append((i, *build_process(lengths, model, mu_a, grid).counts))
+        rows = [(i, *counts) for i, counts in enumerate(_process_counts(batch, d))]
         _emit_csv(
             args,
             ("index", *(f"P_{t:g}" for t in grid)),
@@ -315,8 +320,21 @@ def _cmd_limits(args) -> int:
         raise ConfigError("--samples is required")
     if args.seed is None:
         raise ConfigError("--seed is required when sampling")
-    batch = sample_lengths(model, args.samples, args.seed)
     check = args.check
+    # List flags are parsed before any draw.
+    if check == "process":
+        if not args.grid:
+            raise ConfigError("--grid is required for the process battery")
+        grid = _parse_float_list(args.grid, "--grid")
+    elif check == "tightness":
+        triple = _parse_float_list(args.triple, "--triple")
+        if len(triple) != 3:
+            raise ConfigError("--triple expects 't1,t,t2'")
+    elif check == "clt":
+        if not args.m_list:
+            raise ConfigError("--m-list is required for the clt battery")
+        m_list = _parse_int_list(args.m_list, "--m-list")
+    batch = sample_lengths(model, args.samples, args.seed)
     if check == "diverging":
         frac = check_longest_diverging(batch, model, args.K)
         result = {"check": check, "K": args.K, "fraction": frac}
@@ -332,9 +350,6 @@ def _cmd_limits(args) -> int:
             "theoretical_rest": table.theoretical_rest,
         }
     elif check == "process":
-        if not args.grid:
-            raise ConfigError("--grid is required for the process battery")
-        grid = _parse_float_list(args.grid, "--grid")
         report = poisson_process_battery(batch, model, grid, subbatches=args.subbatches)
         result = {
             "check": check,
@@ -358,9 +373,6 @@ def _cmd_limits(args) -> int:
             ],
         }
     elif check == "tightness":
-        triple = _parse_float_list(args.triple, "--triple")
-        if len(triple) != 3:
-            raise ConfigError("--triple expects 't1,t,t2'")
         est = tightness_moment_estimate(batch, model, *triple)
         result = {
             "check": check,
@@ -369,9 +381,6 @@ def _cmd_limits(args) -> int:
             "std_error": est.std_error,
         }
     else:  # clt
-        if not args.m_list:
-            raise ConfigError("--m-list is required for the clt battery")
-        m_list = _parse_int_list(args.m_list, "--m-list")
         report = clt_battery(model, m_list, args.samples, seed=args.seed, samples=batch)
         result = {
             "check": check,

@@ -31,6 +31,12 @@ stays bounded or falls, the standardized law does not approach N(0,1).
 
 Sample batches are accepted either as CycleType objects or as plain arrays of
 cycle lengths (the memory-light form produced by the sampler for large n).
+
+scipy is imported inside the functions that use it, on their first call:
+scipy.special by gamma_floor_pmf and check_longest_critical, scipy.stats by
+the chi-square, KS and normal-CDF checks of poisson_process_battery,
+discrete_ks_to_normal (and so exact_standardized_ks) and clt_battery.
+Importing this module, or the package, loads numpy and nothing from scipy.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special, stats
 
 from .errors import DomainError, RegimeError
 from .exact import cycle_count_distribution, expected_cycle_count
@@ -86,8 +91,8 @@ def longest_k(t: CycleType, K: int) -> LongestVector:
 
 def d_cutoff(t: float, mu_alpha: float, alpha: int) -> int:
     """d_t = max(alpha - floor(t / mu_alpha), 0)."""
-    if t < 0:
-        raise DomainError(f"process time must be >= 0, got {t}")
+    if not (0 <= t < math.inf):
+        raise DomainError(f"process time must be finite and >= 0, got {t}")
     if not (mu_alpha > 0):
         raise DomainError(f"mu_alpha must be positive, got {mu_alpha}")
     return max(alpha - int(math.floor(t / mu_alpha)), 0)
@@ -106,9 +111,27 @@ def _validated_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or len(g) == 0:
         raise DomainError("grid must be a nonempty one-dimensional array")
+    if not np.all(np.isfinite(g)):
+        raise DomainError("grid values must be finite")
     if np.any(g < 0) or (len(g) > 1 and np.any(np.diff(g) <= 0)):
         raise DomainError("grid must be nonnegative and strictly increasing")
     return g
+
+
+def _cutoffs(grid: np.ndarray, mu_alpha: float, alpha: int) -> np.ndarray:
+    """d_t for every t of a validated grid."""
+    return np.array([d_cutoff(t, mu_alpha, alpha) for t in grid], dtype=np.int64)
+
+
+def _process_counts(samples: Sequence, d: np.ndarray) -> np.ndarray:
+    """Counts of cycles longer than each cutoff: one row per sample, one column per d."""
+    lengths = [_as_lengths(s) for s in samples]
+    owner = np.repeat(np.arange(len(lengths)), [len(x) for x in lengths])
+    flat = np.concatenate(lengths) if lengths else np.zeros(0, dtype=np.int64)
+    counts = np.empty((len(lengths), len(d)), dtype=np.int64)
+    for col, dv in enumerate(d):
+        counts[:, col] = np.bincount(owner[flat > dv], minlength=len(lengths))
+    return counts
 
 
 def build_process(sample, model: ConstraintModel, mu_alpha: float, grid) -> ProcessPath:
@@ -117,10 +140,8 @@ def build_process(sample, model: ConstraintModel, mu_alpha: float, grid) -> Proc
     The sample is a CycleType or an array of its cycle lengths.
     """
     g = _validated_grid(grid)
-    d = np.array([d_cutoff(t, mu_alpha, model.alpha) for t in g], dtype=np.int64)
-    lengths = _as_lengths(sample)
-    counts = np.array([int(np.count_nonzero(lengths > dv)) for dv in d], dtype=np.int64)
-    return ProcessPath(grid=g, counts=counts, d_values=d)
+    d = _cutoffs(g, mu_alpha, model.alpha)
+    return ProcessPath(grid=g, counts=_process_counts([sample], d)[0], d_values=d)
 
 
 def gamma_floor_pmf(k: int, mu_value: float, d: int) -> float:
@@ -129,6 +150,8 @@ def gamma_floor_pmf(k: int, mu_value: float, d: int) -> float:
     Q is the regularized upper incomplete gamma function; the values
     telescope to 1 over d = 0, 1, 2, ...
     """
+    from scipy import special
+
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     if not (mu_value > 0):
@@ -202,6 +225,8 @@ def check_longest_critical(
     reported TV includes that bucket. The comparison parameter is the exact
     finite-n mu_alpha.
     """
+    from scipy import special
+
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     if d_max < 0:
@@ -249,6 +274,8 @@ def _poisson_chisquare(counts: np.ndarray, lam: float) -> Tuple[float, float, in
     every expected count reaches the minimum; degenerate cases (fewer than
     two bins) return a trivial pass based on exact agreement.
     """
+    from scipy import stats
+
     n = len(counts)
     if lam <= 0:
         return (0.0, 1.0, 0) if np.all(counts == 0) else (math.inf, 0.0, 0)
@@ -303,19 +330,12 @@ class ProcessBatteryReport:
         return _SIGNIFICANCE
 
 
-def _process_increments(
-    samples: Sequence, model: ConstraintModel, mu_a: float, grid: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+def _process_increments(samples: Sequence, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(increments matrix over (0,t_1],(t_1,t_2],..., top-3 lengths matrix)."""
-    d = np.array([d_cutoff(t, mu_a, model.alpha) for t in grid], dtype=np.int64)
-    n_samples = len(samples)
-    counts = np.empty((n_samples, len(grid)), dtype=np.int64)
-    top3 = np.empty((n_samples, 3), dtype=np.int64)
+    counts = _process_counts(samples, d)
+    top3 = np.empty((len(samples), 3), dtype=np.int64)
     for i, s in enumerate(samples):
-        lengths = _as_lengths(s)
-        for g, dv in enumerate(d):
-            counts[i, g] = np.count_nonzero(lengths > dv)
-        top3[i] = _top_k(lengths, 3)
+        top3[i] = _top_k(_as_lengths(s), 3)
     inc = np.diff(counts, axis=1, prepend=0)  # P starts at 0 (d_0 = alpha)
     return inc, top3
 
@@ -339,12 +359,14 @@ def poisson_process_battery(
     correlations reject at any fixed n; the limit theorem is checked by
     running the battery at increasing n and watching those deviations shrink.
     """
+    from scipy import stats
+
     if subbatches < 1:
         raise DomainError(f"subbatches must be >= 1, got {subbatches}")
     g = _validated_grid(grid)
     _require_regime(model, "Vanishing")
     mu_a = mu_alpha_of(model)
-    inc, top3 = _process_increments(samples, model, mu_a, g)
+    inc, top3 = _process_increments(samples, _cutoffs(g, mu_a, model.alpha))
     n_samples = len(inc)
     if n_samples == 0:
         raise DomainError("empty sample batch")
@@ -423,13 +445,10 @@ def tightness_moment_estimate(
         raise DomainError(f"need 0 <= t1 <= t <= t2, got ({t1}, {t}, {t2})")
     _require_regime(model, "Vanishing")
     mu_a = mu_alpha_of(model)
-    d1, dm, d2 = (d_cutoff(v, mu_a, model.alpha) for v in (t1, t, t2))
-    vals = np.empty(len(samples))
-    for i, s in enumerate(samples):
-        lengths = _as_lengths(s)
-        x = np.count_nonzero(lengths > dm) - np.count_nonzero(lengths > d1)
-        y = np.count_nonzero(lengths > d2) - np.count_nonzero(lengths > dm)
-        vals[i] = (x * x) * (y * y)
+    counts = _process_counts(samples, _cutoffs(np.array([t1, t, t2]), mu_a, model.alpha))
+    x = counts[:, 1] - counts[:, 0]
+    y = counts[:, 2] - counts[:, 1]
+    vals = ((x * x) * (y * y)).astype(float)
     if len(vals) == 0:
         raise DomainError("empty sample batch")
     return TightnessEstimate(
@@ -485,6 +504,8 @@ def discrete_ks_to_normal(z_atoms: np.ndarray, log_pmf: np.ndarray) -> float:
     The supremum over a step-vs-continuous comparison is attained at an atom,
     approached from either side, so both one-sided gaps are taken per atom.
     """
+    from scipy import stats
+
     with np.errstate(under="ignore"):
         p = np.exp(log_pmf)
     cdf = np.cumsum(p)
@@ -549,6 +570,8 @@ def clt_battery(
     empirical correlation of the standardized counts (limit: 0). Every m must
     satisfy mu_m >= mu_threshold (the divergence hypothesis proxy).
     """
+    from scipy import stats
+
     from .sampler import sample_lengths  # deferred: sampler imports exact
 
     if n_samples < 1:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import cyclecap
 from cyclecap import __version__
 from cyclecap.cli import run
 from cyclecap.sampler import RNG_ID
@@ -196,6 +200,36 @@ class TestDeterminism:
         assert run(argv + ["--emit", "process", "--grid", "2,1"]) == 2
 
 
+class TestNonFiniteListFlags:
+    """nan and inf in --grid, --s-grid and --triple are configuration errors."""
+
+    @pytest.mark.parametrize("grid", ["nan", "1,inf"])
+    def test_sample_process_grid(self, capsys, grid):
+        argv = ["sample", "--n", "200", "--alpha", "60", "--count", "2", "--seed", "3"]
+        assert run(argv + ["--emit", "process", "--grid", grid]) == 2
+
+    def test_limits_process_grid(self, capsys):
+        argv = [
+            "limits", "--n", "2000", "--alpha", "639", "--check", "process",
+            "--samples", "20", "--seed", "1", "--grid", "0.5,nan",
+        ]
+        assert run(argv) == 2
+
+    @pytest.mark.parametrize("s_grid", ["0,nan", "0,inf"])
+    def test_clt_s_grid(self, capsys, s_grid):
+        argv = ["clt", "--n", "2000", "--alpha", "12", "--m-list", "10", "--s-grid", s_grid]
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("triple", ["0,1,inf", "0,nan,1"])
+    def test_limits_tightness_triple(self, capsys, triple):
+        argv = [
+            "limits", "--n", "2000", "--alpha", "639", "--check", "tightness",
+            "--samples", "20", "--seed", "1", "--triple", triple,
+        ]
+        assert run(argv) == 2
+
+
 class TestConfigFile:
     def test_config_fills_defaults_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -287,6 +321,19 @@ class TestLimitsAndCLTCommands:
             if e["s"] == 0.0:
                 assert e["h1"] == pytest.approx(math.sqrt(e["mu_m"]), rel=1e-10)
 
+    def test_limits_tightness_json(self, capsys):
+        code, out = run_capture(
+            [
+                "limits", "--n", "2000", "--alpha", "639", "--check", "tightness",
+                "--samples", "200", "--seed", "4", "--triple", "0,1,2",
+            ],
+            capsys,
+        )
+        assert code == 0
+        r = json.loads(out)["result"]
+        assert r["triple"] == [0.0, 1.0, 2.0]
+        assert r["estimate"] >= 0.0 and r["std_error"] >= 0.0
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cyclecap.cli", "--help"],
@@ -295,3 +342,76 @@ class TestLimitsAndCLTCommands:
         )
         assert proc.returncode == 0
         assert "saddle" in proc.stdout
+
+
+# Commands that compute exact laws, tilts and samples; none of them needs scipy.
+_SCIPY_FREE_COMMANDS = [
+    ["saddle", "--n", "1000", "--beta", "0.85"],
+    ["partition", "--n", "5", "--alpha", "3"],
+    ["sample", "--n", "100", "--alpha", "10", "--count", "5", "--seed", "1"],
+    ["sample", "--n", "100", "--alpha", "10", "--count", "5", "--seed", "1", "--emit", "longest"],
+    [
+        "sample", "--n", "100", "--alpha", "10", "--count", "5", "--seed", "1",
+        "--emit", "process", "--grid", "0.5,1",
+    ],
+    ["tvd", "--n", "200", "--alpha", "20", "--b", "3"],
+    ["oracle", "--n", "6", "--alpha", "3"],
+    ["spcheck", "--n", "1000", "--alpha", "30"],
+    ["clt", "--n", "2000", "--alpha", "12", "--m-list", "10,12", "--s-grid", "0,0.1"],
+]
+
+_CRITICAL_COMMAND = [
+    "limits", "--n", "2000", "--alpha", "95", "--check", "critical",
+    "--samples", "20", "--seed", "5", "--d-max", "4",
+]
+
+_IMPORT_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    import cyclecap
+    report = {"import cyclecap": [0, scipy_modules()]}
+    import cyclecap.cli
+    report["import cyclecap.cli"] = [0, scipy_modules()]
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cyclecap.cli.run(argv)
+        report[" ".join(argv)] = [code, scipy_modules()]
+    print(json.dumps(report))
+    """
+)
+
+
+def _probe_imports(commands):
+    """Run commands one after another in a fresh interpreter; per step, the
+    exit code and the scipy modules loaded so far."""
+    src = str(Path(cyclecap.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+class TestImportPath:
+    def test_exact_commands_never_load_scipy(self):
+        report = _probe_imports(_SCIPY_FREE_COMMANDS)
+        assert len(report) == 2 + len(_SCIPY_FREE_COMMANDS)
+        for step, (code, scipy_modules) in report.items():
+            assert code == 0, step
+            assert scipy_modules == [], step
+
+    def test_critical_battery_loads_special_only(self):
+        report = _probe_imports([_CRITICAL_COMMAND])
+        code, scipy_modules = report[" ".join(_CRITICAL_COMMAND)]
+        assert code == 0
+        assert "scipy.special" in scipy_modules
+        assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in scipy_modules)

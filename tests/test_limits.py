@@ -8,6 +8,7 @@ from cyclecap.errors import DomainError, RegimeError
 from cyclecap.exact import cycle_count_distribution
 from cyclecap.limits import (
     _poisson_chisquare,
+    _process_counts,
     build_process,
     check_longest_critical,
     check_longest_diverging,
@@ -70,6 +71,11 @@ class TestDCutoff:
         with pytest.raises(DomainError):
             d_cutoff(1.0, 0.0, 10)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time(self, t):
+        with pytest.raises(DomainError):
+            d_cutoff(t, 0.5, 10)
+
 
 class TestBuildProcess:
     def test_counts_match_hand_computation(self):
@@ -92,6 +98,24 @@ class TestBuildProcess:
         model = ConstraintModel(n=6, alpha=3, theta=1.0)
         with pytest.raises(DomainError):
             build_process(CycleType.from_lengths([3, 3]), model, 0.5, grid)
+
+    @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [1.0, math.inf]])
+    def test_non_finite_grids(self, grid):
+        model = ConstraintModel(n=6, alpha=3, theta=1.0)
+        with pytest.raises(DomainError):
+            build_process(CycleType.from_lengths([3, 3]), model, 0.5, grid)
+
+    def test_batch_counts_match_per_sample_counts(self, vanishing_samples):
+        # CycleTypes, length arrays and an empty sample mixed in one batch
+        batch = [CycleType.from_lengths(vanishing_samples[0]), np.array([], dtype=np.int64)]
+        batch += list(vanishing_samples[1:50])
+        d = np.array([639, 600, 500, 100, 0], dtype=np.int64)
+        counts = _process_counts(batch, d)
+        assert counts.shape == (len(batch), len(d))
+        for row, s in zip(counts, batch):
+            lengths = s.lengths() if isinstance(s, CycleType) else s
+            assert row.tolist() == [int(np.count_nonzero(lengths > dv)) for dv in d]
+        assert _process_counts([], d).shape == (0, len(d))
 
 
 class TestGammaFloorPmf:
@@ -236,6 +260,11 @@ class TestPoissonProcessBattery:
         with pytest.raises(DomainError):
             poisson_process_battery([], VANISHING, [1.0])
 
+    @pytest.mark.parametrize("grid", [[0.5, math.nan], [1.0, math.inf]])
+    def test_non_finite_grid(self, vanishing_samples, grid):
+        with pytest.raises(DomainError):
+            poisson_process_battery(vanishing_samples, VANISHING, grid)
+
 
 class TestTightness:
     def test_degenerate_triples_are_zero(self, vanishing_samples):
@@ -253,6 +282,10 @@ class TestTightness:
     def test_ordering_enforced(self, vanishing_samples):
         with pytest.raises(DomainError):
             tightness_moment_estimate(vanishing_samples, VANISHING, 1.0, 0.5, 1.5)
+
+    def test_infinite_time_refused(self, vanishing_samples):
+        with pytest.raises(DomainError):
+            tightness_moment_estimate(vanishing_samples, VANISHING, 0.0, 1.0, math.inf)
 
     def test_scaling_check(self, vanishing_samples):
         triples = [(0.0, 1.0, 2.0), (0.5, 1.0, 1.5), (0.75, 1.0, 1.25)]
