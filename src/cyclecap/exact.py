@@ -14,13 +14,29 @@ Two instantiations are used:
     p_k = P[sum_j j*Y_j = k] for independent Y_j ~ Poisson(mu_j) and
     M = sum mu_j (the same recurrence is known as Panjer's).
 
-The inner loop runs in the *linear* domain: all terms are nonnegative so the
-sliding dot product has no cancellation, and a rolling renormalization (the
-active window is rescaled whenever the newest entry leaves [1e-250, 1e250],
-with per-index log offsets recording the scale) keeps every intermediate
-within double range. Per-step relative error is a few ulps and accumulates
-additively, so even k = 10^5 stays comfortably inside the 1e-10 recurrence
-contract. Exact zeros stay exact.
+The kernel runs in the *linear* domain, one block of B = 16 consecutive
+indices per Python step (a blocked power-series solve in the manner of
+Brent & Kung, JACM 1978). For a block K..K+B-1 the recurrence splits into
+
+    (D - T) g = M h_{K-alpha..K-1},    D = diag(K..K+B-1),
+
+where M is the fixed B x alpha Toeplitz block of the weights that carries
+earlier coefficients into the block and T the strictly lower-triangular
+Toeplitz matrix of w_1..w_{B-1} inside it. (D - T)^-1 = sum_r (D^-1 T)^r D^-1
+is a nonnegative Neumann series; the inverses of a chunk of blocks are built
+together by vectorised forward substitution. All terms are nonnegative, so no
+sum cancels. Once per block, if the block leaves [2^-256, 2^256], the active
+window (the last alpha entries) is rescaled by a power of two, which is exact,
+and the exponent is recorded for the stored logs. Per-step relative error is
+a few ulps and accumulates additively, so even k = 10^6 stays well inside the
+1e-10 recurrence contract. Exact zeros stay exact.
+
+The kernel raises NumericalError instead of returning a damaged table: when a
+block overflows, when a rescale would push a nonzero entry below the normal
+range, or when an entry comes out zero although an earlier nonzero entry
+reaches it through an active weight. `egf_coefficients` answers such a
+failure by rerunning the row at its saddle tilt for N, where the table has
+the least dynamic range.
 """
 
 from __future__ import annotations
@@ -49,43 +65,116 @@ from .model import (
 from .numerics import NEG_INF, LogReal, log_sum_exp_value
 from .saddle import _perturbed_row, saddle_point_coefficient, solve_saddle
 
-_W_LOG_CAP = 115.0  # keeps w_j * (window entry <= 1e250) below double overflow
-_RESCALE_HI = 1e250
-_RESCALE_LO = 1e-250
+_BLOCK = 16  # indices advanced per Python step
+_CHUNK = 256  # blocks whose in-block inverses are built together
+_RESCALE_HI = 2.0**256  # a block above this (or below its inverse) triggers a rescale
+_RESCALE_LO = 2.0**-256
+_TINY = np.finfo(float).tiny  # smallest normal double
+_LN2 = math.log(2.0)
 _BRUTE_FORCE_MAX_N = 12
 
 
+def _block_inverses(w_head: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(D - T)^-1 for the blocks starting at `starts`, plus a row of column sums.
+
+    w_head holds w_1..w_{B-1}. Returns an array of shape (len(starts), B+1, B):
+    rows 0..B-1 of entry c are the inverse for the block starting at
+    starts[c], row B their sum, so one product yields the block and its total.
+    Forward substitution row by row, vectorised across the chunk.
+    """
+    B = _BLOCK
+    inv = np.zeros((B + 1, B, len(starts)))
+    flat = inv.reshape(B + 1, B * len(starts))
+    diag = starts.astype(float)
+    for i in range(B):
+        if i:
+            # row i = (e_i + sum_{l<i} w_{i-l} row l) / (K + i)
+            np.dot(w_head[i - 1 :: -1], flat[:i], out=flat[i])
+        inv[i, i] += 1.0
+        inv[i] /= diag + i
+    inv[B] = inv[:B].sum(axis=0)
+    return inv.transpose(2, 0, 1).copy()
+
+
+def _raise_if_zeroed(G: np.ndarray, logw: np.ndarray) -> None:
+    """Raise if some zero entry of G is reached by an active weight from a nonzero one.
+
+    A computed nonzero entry is always truly nonzero, so by induction on k a
+    zero entry is exact iff no j with logw[j-1] > -inf has G[k-j] != 0.
+    """
+    zeros = np.flatnonzero(G == 0.0)
+    steps = np.flatnonzero(logw > NEG_INF) + 1
+    if zeros.size == 0 or steps.size == 0:
+        return
+    nonzero = G != 0.0
+    rows = max(1, 2**18 // steps.size)
+    for a in range(0, zeros.size, rows):
+        src = zeros[a : a + rows, None] - steps
+        if np.any(nonzero[np.maximum(src, 0)] & (src >= 0)):
+            raise NumericalError("the DP underflowed a nonzero coefficient to zero")
+
+
 def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
-    """log h_k, k = 0..N, for k*h_k = sum_j exp(logw[j-1])*h_{k-j}, h_0 = 1."""
-    if np.max(logw) > _W_LOG_CAP:
-        raise NumericalError(
-            f"recurrence weight exp({np.max(logw):.1f}) too large for the linear-domain loop"
-        )
+    """log h_k, k = 0..N, for k*h_k = sum_j exp(logw[j-1])*h_{k-j}, h_0 = 1.
+
+    Raises NumericalError rather than return entries that left double range.
+    """
     alpha = len(logw)
-    with np.errstate(under="ignore"):
-        wrev = np.exp(logw[::-1])
-    G = np.zeros(N + 1)
-    off = np.zeros(N + 1)
-    G[0] = 1.0
-    cur = 0.0
-    for k in range(1, N + 1):
-        m = alpha if alpha < k else k
-        s = np.dot(G[k - m : k], wrev[alpha - m :]) / k
-        G[k] = s
-        off[k] = cur
-        if s != 0.0 and not (_RESCALE_LO < s < _RESCALE_HI):
-            shift = math.log(s)
-            lo = k - alpha + 1
-            if lo < 0:
-                lo = 0
-            with np.errstate(under="ignore"):
-                G[lo : k + 1] *= math.exp(-shift)
-            off[lo : k + 1] += shift
-            cur += shift
-    out = np.full(N + 1, NEG_INF)
-    pos = G > 0.0
-    out[pos] = np.log(G[pos]) + off[pos]
-    return out
+    B = _BLOCK
+    with np.errstate(under="ignore", over="ignore"):
+        w = np.exp(logw)
+    # M[i, p] = w_{alpha+i-p} carries G_{K-alpha+p} into G_{K+i} (zero for p < i).
+    M = np.zeros((B, alpha))
+    for i in range(min(B, alpha)):
+        M[i, i:] = w[::-1][: alpha - i]
+    w_head = np.zeros(B - 1)
+    w_head[: min(B - 1, alpha)] = w[: B - 1]
+    # buf[alpha + k] holds G_k at the current scale; the alpha leading zeros
+    # stand for k < 0, and one block of slack past N (plus its sum) lets every
+    # block be full length.
+    buf = np.zeros(alpha + N + B + 1)
+    buf[alpha] = 1.0
+    events = []  # (first k rescaled, cumulative power of two) per rescale
+    exponent = 0
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        for c0 in range(1, N + 1, B * _CHUNK):
+            starts = np.arange(c0, min(c0 + B * _CHUNK, N + 1), B)
+            for inv, K in zip(_block_inverses(w_head, starts), starts.tolist()):
+                end = K + alpha + B
+                if K < alpha:  # only the last K columns meet computed entries
+                    r = M[:, alpha - K :] @ buf[alpha : K + alpha]
+                else:
+                    r = M @ buf[K : K + alpha]
+                np.dot(inv, r, out=buf[end - B : end + 1])
+                total = buf[end]
+                if _RESCALE_LO <= total <= _RESCALE_HI:
+                    continue
+                lo = max(K + B, alpha)
+                window = buf[lo:end]
+                # Below range the window may still hold larger, older entries.
+                top = total if total > _RESCALE_HI else window.max()
+                if not math.isfinite(top):
+                    raise NumericalError("the DP overflowed: weights too large for one block")
+                if top == 0.0 or _RESCALE_LO <= top <= _RESCALE_HI:
+                    continue
+                e = math.frexp(top)[1]
+                small = window < math.ldexp(_TINY, max(e, 0))  # below normal once scaled
+                if small.any() and np.any(window[small] > 0.0):
+                    raise NumericalError("the DP window spans more than double range")
+                np.ldexp(window, -e, out=window)
+                exponent += e
+                events.append((lo - alpha, exponent))
+    G = buf[alpha : alpha + N + 1]
+    if np.any((G > 0.0) & (G < _TINY)):
+        raise NumericalError("the DP left a coefficient below double range")
+    _raise_if_zeroed(G, logw)
+    with np.errstate(divide="ignore"):
+        np.log(G, out=G)
+    # An entry's scale is the cumulative exponent of the last rescale whose
+    # window reached it; windows start at nondecreasing k.
+    for (lo, e), (hi, _) in zip(events, events[1:] + [(N + 1, 0)]):
+        G[lo:hi] += e * _LN2
+    return G
 
 
 @dataclass(frozen=True)
@@ -141,9 +230,11 @@ class CoefficientTable:
 def egf_coefficients(q: WeightArray, N: int, tilt: float = None) -> CoefficientTable:
     """Coefficients of exp(sum_j (q_j/j) z^j) up to order N, optionally x-tilted.
 
-    O(N * alpha) time. When the requested tilt would push some weight
-    q_j * x^j past the linear-loop cap, the loop runs at a reduced internal
-    tilt and the difference is folded into the stored logs exactly.
+    O(N * alpha) time. The DP runs at the requested tilt whenever the table
+    fits in double range there, so ratios of tables at one tilt keep every
+    digit. Where it does not (the DP raises), the row is rerun at its saddle
+    tilt for N and the difference is folded into the stored logs; a row that
+    does not fit even there raises NumericalError.
     """
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
@@ -157,17 +248,15 @@ def egf_coefficients(q: WeightArray, N: int, tilt: float = None) -> CoefficientT
     logq = np.full(q.alpha, NEG_INF)
     active = q.q > 0
     logq[active] = np.log(q.q[active])
-    # Run the loop at a tilt keeping every active weight q_j * x^j inside
-    # double range; the difference to the requested tilt folds into the
-    # stored logs exactly (retilting scales h_k by x^k).
-    t_up = float(np.min((_W_LOG_CAP - logq[active]) / j[active]))
-    t_dn = float(np.max((-650.0 - logq[active]) / j[active]))
-    if t_dn > t_up:
-        raise NumericalError("weight row spans too many orders of magnitude for one tilt")
-    t_int = min(max(t_req, t_dn), t_up)
-    logh_int = _log_linear_dp(logq + j * t_int, N)
-    k = np.arange(N + 1)
-    log_tilted = logh_int + k * (t_req - t_int)
+    try:
+        return CoefficientTable(q=q, tilt=x, log_tilted_values=_log_linear_dp(logq + j * t_req, N))
+    except NumericalError:
+        t_int = math.log(solve_saddle(q, float(N)).x)
+        if t_int == t_req:
+            raise
+    # Retilting scales h_k by x^k, so the difference folds in exactly.
+    log_tilted = _log_linear_dp(logq + j * t_int, N)
+    log_tilted += np.arange(N + 1) * (t_req - t_int)
     return CoefficientTable(q=q, tilt=x, log_tilted_values=log_tilted)
 
 

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import (
     ConstraintError,
     DegenerateWeightsError,
+    DomainError,
     NumericalError,
     RegimeError,
 )
@@ -430,7 +431,10 @@ def clt_h_calculus(model: ConstraintModel, m: int, s: float) -> HCalculus:
 
     mu = mu_m is fixed at the unperturbed (s = 0) tilt. Negative s is accepted
     (the equation stays well-posed); the limit statements hold for s >= 0.
+    A non-finite s is refused with DomainError.
     """
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     base = solve_model_saddle(model)
     mu_m = mu(base, model.theta, m)
     sqrt_mu = math.sqrt(mu_m)

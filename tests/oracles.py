@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive and derived from first principles —
 direct enumeration of permutations, plain-float arithmetic, scalar
-bisection — so that agreement with the package is meaningful. Nothing in
-this module imports the package under test.
+bisection, a one-index-at-a-time recurrence — so that agreement with the
+package is meaningful. Nothing in this module imports the package under test.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import itertools
 import math
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
 
 Partition = Tuple[int, ...]  # cycle lengths, sorted descending
 
@@ -156,3 +158,36 @@ def bounded_partitions_reference(n: int, max_part: int) -> List[Partition]:
                 yield (first,) + rest
 
     return list(rec(n, max_part))
+
+
+def log_linear_dp_reference(logw: np.ndarray, N: int) -> np.ndarray:
+    """log h_k, k = 0..N, for k*h_k = sum_j exp(logw[j-1])*h_{k-j}, h_0 = 1.
+
+    One index per step: a sliding dot product in the linear domain, with the
+    active window rescaled whenever the newest entry leaves [1e-250, 1e250]
+    and per-index log offsets recording the scale. Valid while every weight
+    stays below about e^115 and the window's entries fit in double range.
+    """
+    alpha = len(logw)
+    with np.errstate(under="ignore"):
+        wrev = np.exp(logw[::-1])
+    G = np.zeros(N + 1)
+    off = np.zeros(N + 1)
+    G[0] = 1.0
+    cur = 0.0
+    for k in range(1, N + 1):
+        m = min(alpha, k)
+        s = np.dot(G[k - m : k], wrev[alpha - m :]) / k
+        G[k] = s
+        off[k] = cur
+        if s != 0.0 and not (1e-250 < s < 1e250):
+            shift = math.log(s)
+            lo = max(k - alpha + 1, 0)
+            with np.errstate(under="ignore"):
+                G[lo : k + 1] *= math.exp(-shift)
+            off[lo : k + 1] += shift
+            cur += shift
+    out = np.full(N + 1, -math.inf)
+    pos = G > 0.0
+    out[pos] = np.log(G[pos]) + off[pos]
+    return out

@@ -9,6 +9,7 @@ from cyclecap.errors import (
     ConstraintError,
     DegenerateWeightsError,
     DomainError,
+    NumericalError,
     SizeGuardError,
 )
 import cyclecap.exact as exact
@@ -30,10 +31,12 @@ from cyclecap.exact import (
 )
 from cyclecap.model import AlphaRule, ConstraintModel, CycleType, WeightArray
 from cyclecap.sampler import sample_lengths
+from cyclecap.saddle import solve_saddle
 from oracles import (
     conditioned_distribution,
     counts_prefix,
     iter_prefix_support,
+    log_linear_dp_reference,
     partition_constant,
     poisson_pmf,
     prefix_distribution,
@@ -105,6 +108,139 @@ class TestEgfCoefficients:
         table = egf_coefficients(WeightArray.constant(theta, alpha), 25)
         logs = [table.log_coefficient(k) for k in range(26)]
         assert all(not math.isnan(v) for v in logs)
+
+
+def assert_same_logs(got, expected, rel):
+    """Same -inf pattern, finite logs within rel * max(1, |log|)."""
+    assert np.array_equal(np.isneginf(got), np.isneginf(expected))
+    finite = np.isfinite(expected)
+    scale = np.maximum(1.0, np.abs(expected[finite]))
+    assert np.all(np.abs(got[finite] - expected[finite]) <= rel * scale)
+
+
+def saddle_row(n, alpha, theta=1.0):
+    """log of the constant row's weights at its saddle tilt for n."""
+    x = solve_saddle(WeightArray.constant(theta, alpha), float(n)).x
+    return math.log(theta) + np.arange(1, alpha + 1) * math.log(x)
+
+
+# The in-process benchmark's models: four narrow caps and two wide ones.
+EXACT_MODELS = [(10**4, 10), (10**5, 100), (10**5, 1072), (10**6, 1000), (10**4, 2511), (10**5, 17782)]
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("alpha", [1, 2, 5, 17, 64, 100])
+    def test_matches_per_index_reference_across_block_boundaries(self, alpha):
+        logw = np.log(np.linspace(0.3, 2.5, alpha)) + 0.1 * np.sin(np.arange(alpha))
+        for N in range(71):
+            assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-13)
+
+    def test_chunk_boundary(self):
+        # the in-block inverses are built a chunk of blocks at a time
+        N = exact._BLOCK * exact._CHUNK + 3 * exact._BLOCK
+        logw = np.log(np.linspace(0.5, 1.5, 7))
+        assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-13)
+
+    @pytest.mark.parametrize("support", [(3, 6), (20, 100)])
+    def test_zero_prefix_rows_keep_exact_zeros(self, support):
+        first, alpha = support
+        logw = np.zeros(alpha)
+        logw[: first - 1] = -np.inf
+        N = 300
+        got = exact._log_linear_dp(logw, N)
+        assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-13)
+        reachable = np.zeros(N + 1, dtype=bool)
+        reachable[0] = True
+        for k in range(1, N + 1):
+            reachable[k] = any(reachable[k - j] for j in range(first, min(alpha, k) + 1))
+        assert np.array_equal(np.isfinite(got), reachable)
+
+    @pytest.mark.parametrize("n,alpha", [(10**5, 100), (10**5, 1072)])
+    def test_matches_reference_on_benchmark_tables(self, n, alpha):
+        logw = saddle_row(n, alpha)
+        assert_same_logs(exact._log_linear_dp(logw, n), log_linear_dp_reference(logw, n), 1e-12)
+
+    def test_bit_identical_reruns(self):
+        logw = saddle_row(20000, 300)
+        first = exact._log_linear_dp(logw, 20000)
+        assert np.array_equal(first, exact._log_linear_dp(logw, 20000))
+
+    @pytest.mark.parametrize("n,alpha", EXACT_MODELS)
+    def test_recurrence_contract_on_benchmark_models(self, n, alpha):
+        table = TiltedModel.for_model(ConstraintModel(n=n, alpha=alpha, theta=1.0)).table
+        B = exact._BLOCK
+        for k in (1, B - 1, B, alpha, n // 2, n):
+            assert table.recurrence_rel_error(k) <= 1e-10
+
+    def test_block_total_just_below_double_overflow(self):
+        # h_16 = e^(16*46.25)/16! is about 2^1023.3: the rescale takes exponent 1024
+        logw = np.array([46.25])
+        assert_same_logs(exact._log_linear_dp(logw, 40), log_linear_dp_reference(logw, 40), 1e-13)
+
+    @pytest.mark.parametrize(
+        "logw",
+        [
+            [200.0] * 5,  # a block overflows
+            [-np.inf, -800.0],  # h_2 = w_2/2 > 0, but w_2 underflows to zero
+            [-720.0],  # h_1 = w_1 is subnormal
+            [-700.0, 50.0],  # odd entries sit e^-750 below the even ones in one window
+        ],
+    )
+    def test_raises_rather_than_damage_the_table(self, logw):
+        with pytest.raises(NumericalError):
+            exact._log_linear_dp(np.array(logw), 100)
+
+
+class TestExtremeWeights:
+    """Rows whose coefficients span far more than double range."""
+
+    N = 3000
+    _reference = {}
+
+    @classmethod
+    def reference(cls, theta, alpha):
+        """log h_k, k = 0..N, from the recurrence in 40-digit arithmetic."""
+        key = (theta, alpha)
+        if key not in cls._reference:
+            mpmath = pytest.importorskip("mpmath")
+            with mpmath.workdps(40):
+                t = mpmath.mpf(theta)
+                h = [mpmath.mpf(1)]
+                for k in range(1, cls.N + 1):
+                    h.append(t * mpmath.fsum(h[max(0, k - alpha) : k]) / k)
+                cls._reference[key] = np.array([float(mpmath.log(v)) for v in h])
+        return cls._reference[key]
+
+    @pytest.mark.parametrize("alpha", [1, 3, 50])
+    @pytest.mark.parametrize("theta", [1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300])
+    def test_tables_match_40_digit_recurrence_or_raise(self, theta, alpha):
+        expected = self.reference(theta, alpha)
+        q = WeightArray.constant(theta, alpha)
+        tables = [egf_coefficients(q, self.N)]  # every row of this grid fits at its saddle
+        for tilt in (1e-5, 1e5):
+            try:
+                tables.append(egf_coefficients(q, self.N, tilt=tilt))
+            except NumericalError:
+                pass
+        for table in tables:
+            got = np.array([table.log_coefficient(k) for k in range(self.N + 1)])
+            assert_same_logs(got, expected, 1e-12)
+
+    def test_row_beyond_double_range_at_its_saddle_raises(self):
+        # h_k x^k grows like 5000^k / k! over the first window of 400 entries
+        with pytest.raises(NumericalError):
+            egf_coefficients(WeightArray.constant(1e10, 400), 5000)
+
+    def test_requested_tilt_kept_where_the_table_fits(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exact, "solve_saddle", lambda *a: calls.append(a) or solve_saddle(*a))
+        q = WeightArray.constant(1.0, 40)
+        egf_coefficients(q, 2000)
+        egf_coefficients(q, 500, tilt=3.0)
+        assert calls == []
+        table = egf_coefficients(WeightArray.constant(1e10, 50), 3000)
+        assert len(calls) == 1 and table.tilt == 1.0
+        assert table.recurrence_rel_error(177) <= 1e-10
 
 
 class TestPartitionFunction:

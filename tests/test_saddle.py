@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclecap.errors import ConstraintError, RegimeError
+from cyclecap.errors import ConstraintError, DomainError, RegimeError
 from cyclecap.exact import egf_coefficients, expected_cycle_count, mgf_Cm
 from cyclecap.model import ConstraintModel, WeightArray
 from cyclecap.saddle import (
@@ -285,3 +285,8 @@ class TestHCalculus:
         model = ConstraintModel(n=1000, alpha=31, theta=1.0)
         xs = [clt_h_calculus(model, 15, s).x_s for s in (0.0, 0.5, 1.0)]
         assert xs[0] > xs[1] > xs[2]
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_refused(self, s):
+        with pytest.raises(DomainError):
+            clt_h_calculus(ConstraintModel(n=2000, alpha=12, theta=1.0), 10, s)
