@@ -96,7 +96,7 @@ from .sampler import (
     sample_type_array,
 )
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"
 
 __all__ = [
     "__version__",

@@ -22,6 +22,7 @@ independent of how a batch is split.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -41,6 +42,7 @@ from .exact import (
 from .limits import (
     _cutoffs,
     _process_counts,
+    _top_k,
     _validated_grid,
     check_longest_critical,
     check_longest_diverging,
@@ -154,6 +156,18 @@ def _emit_json(args, result: dict, with_rng: bool = False) -> None:
     _emit(args, json.dumps(artifact, indent=2, sort_keys=True, allow_nan=True) + "\n")
 
 
+def _as_json(value):
+    """A report as plain JSON values: dataclasses become dicts of their fields,
+    tuples, lists and arrays become lists, numpy scalars Python numbers."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _as_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_as_json(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
 def _csv_header_lines(args, with_rng: bool) -> List[str]:
     lines = [
         f"# cyclecap {__version__}",
@@ -247,12 +261,7 @@ def _cmd_sample(args) -> int:
             rows.append((i, len(lengths), type_str))
         _emit_csv(args, ("index", "n_cycles", "type"), rows, with_rng=True)
     elif args.emit == "longest":
-        rows = []
-        for i, lengths in enumerate(batch):
-            top = np.zeros(3, dtype=np.int64)
-            srt = np.sort(lengths)[::-1][:3]
-            top[: len(srt)] = srt
-            rows.append((i, top[0], top[1], top[2]))
+        rows = [(i, *_top_k(lengths, 3)) for i, lengths in enumerate(batch)]
         _emit_csv(args, ("index", "ell1", "ell2", "ell3"), rows, with_rng=True)
     else:  # process
         rows = [(i, *counts) for i, counts in enumerate(_process_counts(batch, d))]
@@ -295,18 +304,11 @@ def _cmd_spcheck(args) -> int:
     q = WeightArray.for_model(model)
     approx = saddle_point_coefficient(q, model.n)
     exact_log = partition_function(model).logval
-    diag = admissibility_report(q, model.n)
     result = {
         "log_exact": exact_log,
         "log_approx": approx.logval,
         "ratio": math.exp(approx.logval - exact_log),
-        "admissibility": {
-            "alpha_log_x": diag.alpha_log_x,
-            "saddle_ratio": diag.saddle_ratio,
-            "lambda2_over_n_alpha": diag.lambda2_over_n_alpha,
-            "min_tail_weight": diag.min_tail_weight,
-            "probe_norm": diag.probe_norm,
-        },
+        "admissibility": _as_json(admissibility_report(q, model.n)),
     }
     _emit_json(args, result)
     return 0
@@ -336,70 +338,20 @@ def _cmd_limits(args) -> int:
         m_list = _parse_int_list(args.m_list, "--m-list")
     batch = sample_lengths(model, args.samples, args.seed)
     if check == "diverging":
-        frac = check_longest_diverging(batch, model, args.K)
-        result = {"check": check, "K": args.K, "fraction": frac}
+        report = {"K": args.K, "fraction": check_longest_diverging(batch, model, args.K)}
     elif check == "critical":
-        table = check_longest_critical(batch, model, args.k, args.d_max)
-        result = {
-            "check": check,
-            "k": args.k,
-            "mu_alpha": table.mu_alpha,
-            "tv": table.tv,
-            "rows": [(r.d, r.empirical, r.theoretical) for r in table.rows],
-            "empirical_rest": table.empirical_rest,
-            "theoretical_rest": table.theoretical_rest,
-        }
+        report = check_longest_critical(batch, model, args.k, args.d_max)
     elif check == "process":
         report = poisson_process_battery(batch, model, grid, subbatches=args.subbatches)
-        result = {
-            "check": check,
-            "mu_alpha": report.mu_alpha,
-            "grid": list(report.grid),
-            "subbatches": report.subbatches,
-            "failed_fraction": report.failed_fraction,
-            "max_abs_correlation": report.max_abs_correlation,
-            "ks_longest": list(report.ks_longest),
-            "ks_spacings": [list(v) for v in report.ks_spacings],
-            "increment_tests": [
-                {
-                    "t_lo": t.t_lo,
-                    "t_hi": t.t_hi,
-                    "subbatch": t.subbatch,
-                    "statistic": t.statistic,
-                    "pvalue": t.pvalue,
-                    "dof": t.dof,
-                }
-                for t in report.increment_tests
-            ],
-        }
     elif check == "tightness":
-        est = tightness_moment_estimate(batch, model, *triple)
-        result = {
-            "check": check,
-            "triple": list(est.triple),
-            "estimate": est.value,
-            "std_error": est.std_error,
-        }
+        report = tightness_moment_estimate(batch, model, *triple)
     else:  # clt
         report = clt_battery(model, m_list, args.samples, seed=args.seed, samples=batch)
-        result = {
-            "check": check,
-            "entries": [
-                {
-                    "m": e.m,
-                    "mu_m": e.mu_m,
-                    "exact_mean": e.exact_mean,
-                    "ks_stat": e.ks_stat,
-                    "ks_pvalue": e.ks_pvalue,
-                    "standardized_mean": e.standardized_mean,
-                    "mean_bound": e.mean_bound,
-                    "exact_ks": e.exact_ks,
-                }
-                for e in report.entries
-            ],
-            "correlations": [list(c) for c in report.correlations],
-        }
-    result["regime"] = regime_report(model).classification
+    result = {
+        "check": check,
+        **_as_json(report),
+        "regime": regime_report(model).classification,
+    }
     _emit_json(args, result, with_rng=True)
     return 0
 
@@ -410,43 +362,14 @@ def _cmd_clt(args) -> int:
         raise ConfigError("--m-list is required")
     m_list = _parse_int_list(args.m_list, "--m-list")
     s_grid = _parse_float_list(args.s_grid, "--s-grid")
-    entries = []
-    for m in m_list:
-        for s in s_grid:
-            h = clt_h_calculus(model, m, s)
-            entries.append(
-                {
-                    "m": m,
-                    "s": s,
-                    "x_s": h.x_s,
-                    "h": h.h,
-                    "h1": h.h1,
-                    "h2": h.h2,
-                    "h3": h.h3,
-                    "x_prime_over_x": h.x_prime_over_x,
-                    "mu_m": h.mu_m,
-                }
-            )
+    entries = [
+        {"m": m, **_as_json(clt_h_calculus(model, m, s))} for m in m_list for s in s_grid
+    ]
     result = {"h_calculus": entries}
     if args.samples:
         if args.seed is None:
             raise ConfigError("--seed is required when sampling")
-        report = clt_battery(model, m_list, args.samples, seed=args.seed)
-        result["battery"] = {
-            "entries": [
-                {
-                    "m": e.m,
-                    "mu_m": e.mu_m,
-                    "ks_stat": e.ks_stat,
-                    "ks_pvalue": e.ks_pvalue,
-                    "standardized_mean": e.standardized_mean,
-                    "mean_bound": e.mean_bound,
-                    "exact_ks": e.exact_ks,
-                }
-                for e in report.entries
-            ],
-            "correlations": [list(c) for c in report.correlations],
-        }
+        result["battery"] = _as_json(clt_battery(model, m_list, args.samples, seed=args.seed))
         _emit_json(args, result, with_rng=True)
     else:
         _emit_json(args, result)

@@ -114,6 +114,23 @@ def _raise_if_zeroed(G: np.ndarray, logw: np.ndarray) -> None:
             raise NumericalError("the DP underflowed a nonzero coefficient to zero")
 
 
+def _log_weights(w: np.ndarray) -> np.ndarray:
+    """log w, with -inf where w is zero."""
+    logw = np.full(len(w), NEG_INF)
+    active = w > 0
+    logw[active] = np.log(w[active])
+    return logw
+
+
+def _recurrence_residual(k: int, logw: np.ndarray, log_values: np.ndarray) -> float:
+    """|rhs/lhs - 1| for k*v_k = sum_{j <= len(logw)} w_j*v_{k-j} (0 if both vanish)."""
+    lhs = math.log(k) + log_values[k]
+    rhs = log_sum_exp_value(logw + log_values[k - len(logw) : k][::-1])
+    if lhs == NEG_INF and rhs == NEG_INF:
+        return 0.0
+    return abs(math.expm1(rhs - lhs))
+
+
 def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
     """log h_k, k = 0..N, for k*h_k = sum_j exp(logw[j-1])*h_{k-j}, h_0 = 1.
 
@@ -153,6 +170,11 @@ def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
                 window = buf[lo:end]
                 # Below range the window may still hold larger, older entries.
                 top = total if total > _RESCALE_HI else window.max()
+                if not math.isfinite(top) and K + B > N + 1:
+                    # The last block runs past N; its slack may overflow while h_0..h_N fit.
+                    buf[alpha + N + 1 : end] = 0.0
+                    total = buf[end - B : end].sum()
+                    top = total if total > _RESCALE_HI else window.max()
                 if not math.isfinite(top):
                     raise NumericalError("the DP overflowed: weights too large for one block")
                 if top == 0.0 or _RESCALE_LO <= top <= _RESCALE_HI:
@@ -212,15 +234,8 @@ class CoefficientTable:
         if k == 0:
             return 0.0
         m = min(self.q.alpha, k)
-        j = np.arange(1, m + 1)
-        logw = np.full(m, NEG_INF)
-        active = self.q.q[:m] > 0
-        logw[active] = np.log(self.q.q[:m][active]) + j[active] * math.log(self.tilt)
-        lhs = math.log(k) + self.log_tilted_values[k]
-        rhs = log_sum_exp_value(logw + self.log_tilted_values[k - m : k][::-1])
-        if lhs == NEG_INF and rhs == NEG_INF:
-            return 0.0
-        return abs(math.expm1(rhs - lhs))
+        logw = _log_weights(self.q.q[:m]) + np.arange(1, m + 1) * math.log(self.tilt)
+        return _recurrence_residual(k, logw, self.log_tilted_values)
 
     def _check_index(self, k: int) -> None:
         if not (0 <= k <= self.N):
@@ -245,9 +260,7 @@ def egf_coefficients(q: WeightArray, N: int, tilt: float = None) -> CoefficientT
         raise DomainError(f"tilt must be a positive real, got {tilt}")
     t_req = math.log(x)
     j = np.arange(1, q.alpha + 1, dtype=float)
-    logq = np.full(q.alpha, NEG_INF)
-    active = q.q > 0
-    logq[active] = np.log(q.q[active])
+    logq = _log_weights(q.q)
     try:
         return CoefficientTable(q=q, tilt=x, log_tilted_values=_log_linear_dp(logq + j * t_req, N))
     except NumericalError:
@@ -371,17 +384,10 @@ class CompoundPoissonDist:
             raise DomainError(f"recurrence index {k} outside 1..{self.N}")
         b1, b2 = self.range
         m = min(b2, k)
-        logw = np.full(m, NEG_INF)
-        j = np.arange(1, m + 1)
         dense = np.zeros(b2)
         dense[b1:] = self.means
-        active = dense[:m] > 0
-        logw[active] = np.log(j[active] * dense[:m][active])
-        lhs = math.log(k) + self.log_pmf_values[k]
-        rhs = log_sum_exp_value(logw + self.log_pmf_values[k - m : k][::-1])
-        if lhs == NEG_INF and rhs == NEG_INF:
-            return 0.0
-        return abs(math.expm1(rhs - lhs))
+        logw = _log_weights(np.arange(1, m + 1) * dense[:m])
+        return _recurrence_residual(k, logw, self.log_pmf_values)
 
 
 def compound_poisson_pmf(means: MeansLike, N: int, first_index: int = 1) -> CompoundPoissonDist:
@@ -400,11 +406,7 @@ def compound_poisson_pmf(means: MeansLike, N: int, first_index: int = 1) -> Comp
         return CompoundPoissonDist(
             log_pmf_values=log_pmf, means=dense[b1:], range=(b1, b2), tail_mass=0.0
         )
-    logw = np.full(b2, NEG_INF)
-    active = dense > 0
-    j = np.arange(1, b2 + 1)
-    logw[active] = np.log(j[active] * dense[active])
-    log_pmf = _log_linear_dp(logw, N) - M
+    log_pmf = _log_linear_dp(_log_weights(np.arange(1, b2 + 1) * dense), N) - M
     total = log_sum_exp_value(log_pmf)
     tail = -math.expm1(total) if total < 0 else 0.0
     return CompoundPoissonDist(

@@ -50,7 +50,8 @@ import numpy as np
 from .errors import DomainError, RegimeError
 from .exact import cycle_count_distribution, expected_cycle_count
 from .model import ConstraintModel, CycleType
-from .saddle import mu, mu_alpha_of, regime_report, solve_model_saddle
+from .saddle import mu, regime_report, solve_model_saddle
+from .saddle import mu_alpha_of  # noqa: F401  (perfbench/tests check the tracer rebinds it here)
 
 _SIGNIFICANCE = 0.001
 _MIN_EXPECTED = 5.0
@@ -123,14 +124,21 @@ def _cutoffs(grid: np.ndarray, mu_alpha: float, alpha: int) -> np.ndarray:
     return np.array([d_cutoff(t, mu_alpha, alpha) for t in grid], dtype=np.int64)
 
 
+def _flatten(samples: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """(owner, flat): every cycle length of a batch and the index of its sample."""
+    lengths = [_as_lengths(s) for s in samples]
+    # int32 halves this copy of the batch; a batch never holds 2^31 samples.
+    owner = np.repeat(np.arange(len(lengths), dtype=np.int32), [len(x) for x in lengths])
+    flat = np.concatenate(lengths) if lengths else np.zeros(0, dtype=np.int64)
+    return owner, flat
+
+
 def _process_counts(samples: Sequence, d: np.ndarray) -> np.ndarray:
     """Counts of cycles longer than each cutoff: one row per sample, one column per d."""
-    lengths = [_as_lengths(s) for s in samples]
-    owner = np.repeat(np.arange(len(lengths)), [len(x) for x in lengths])
-    flat = np.concatenate(lengths) if lengths else np.zeros(0, dtype=np.int64)
-    counts = np.empty((len(lengths), len(d)), dtype=np.int64)
+    owner, flat = _flatten(samples)
+    counts = np.empty((len(samples), len(d)), dtype=np.int64)
     for col, dv in enumerate(d):
-        counts[:, col] = np.bincount(owner[flat > dv], minlength=len(lengths))
+        counts[:, col] = np.bincount(owner[flat > dv], minlength=len(samples))
     return counts
 
 
@@ -161,14 +169,15 @@ def gamma_floor_pmf(k: int, mu_value: float, d: int) -> float:
     return float(special.gammaincc(k, d * mu_value) - special.gammaincc(k, (d + 1) * mu_value))
 
 
-def _require_regime(model: ConstraintModel, wanted: str, thresholds=(0.1, 10.0)):
+def _require_regime(model: ConstraintModel, wanted: str, thresholds=(0.1, 10.0)) -> float:
+    """The exact mu_alpha, once the model classifies as the wanted regime."""
     report = regime_report(model, thresholds)
     if report.classification != wanted:
         raise RegimeError(
             f"battery needs the {wanted} regime; mu_alpha = {report.mu_alpha:.6g} "
             f"classifies as {report.classification} at thresholds {thresholds}"
         )
-    return report
+    return report.mu_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +191,12 @@ def check_longest_diverging(samples: Sequence, model: ConstraintModel, K: int) -
     _require_regime(model, "Diverging")
     if K == 0:
         return 1.0
-    hits = 0
-    total = 0
-    for s in samples:
-        lengths = _as_lengths(s)
-        hits += int(np.count_nonzero(lengths == model.alpha) >= K)
-        total += 1
+    total = len(samples)
     if total == 0:
         raise DomainError("empty sample batch")
-    return hits / total
+    owner, flat = _flatten(samples)
+    at_cap = np.bincount(owner[flat == model.alpha], minlength=total)
+    return int(np.count_nonzero(at_cap >= K)) / total
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +237,7 @@ def check_longest_critical(
         raise DomainError(f"k must be >= 1, got {k}")
     if d_max < 0:
         raise DomainError(f"d_max must be >= 0, got {d_max}")
-    _require_regime(model, "Critical")
-    mu_a = mu_alpha_of(model)
+    mu_a = _require_regime(model, "Critical")
     counts = np.zeros(d_max + 2, dtype=np.int64)  # last slot = rest
     total = 0
     for s in samples:
@@ -364,8 +369,7 @@ def poisson_process_battery(
     if subbatches < 1:
         raise DomainError(f"subbatches must be >= 1, got {subbatches}")
     g = _validated_grid(grid)
-    _require_regime(model, "Vanishing")
-    mu_a = mu_alpha_of(model)
+    mu_a = _require_regime(model, "Vanishing")
     inc, top3 = _process_increments(samples, _cutoffs(g, mu_a, model.alpha))
     n_samples = len(inc)
     if n_samples == 0:
@@ -443,8 +447,7 @@ def tightness_moment_estimate(
     """Monte Carlo E[(P_t - P_t1)^2 (P_t2 - P_t)^2] with its standard error."""
     if not (0 <= t1 <= t <= t2):
         raise DomainError(f"need 0 <= t1 <= t <= t2, got ({t1}, {t}, {t2})")
-    _require_regime(model, "Vanishing")
-    mu_a = mu_alpha_of(model)
+    mu_a = _require_regime(model, "Vanishing")
     counts = _process_counts(samples, _cutoffs(np.array([t1, t, t2]), mu_a, model.alpha))
     x = counts[:, 1] - counts[:, 0]
     y = counts[:, 2] - counts[:, 1]
@@ -545,7 +548,6 @@ class CLTEntry:
 
 @dataclass(frozen=True)
 class CLTReport:
-    model: ConstraintModel
     n_samples: int
     entries: Tuple[CLTEntry, ...]
     correlations: Tuple[Tuple[int, int, float], ...]
@@ -587,11 +589,10 @@ def clt_battery(
             )
         mus[m] = mu_m
     batch = samples if samples is not None else sample_lengths(model, n_samples, seed)
+    owner, flat = _flatten(batch)
     counts = np.empty((len(batch), len(m_list)), dtype=np.int64)
-    for i, s in enumerate(batch):
-        lengths = _as_lengths(s)
-        for jm, m in enumerate(m_list):
-            counts[i, jm] = np.count_nonzero(lengths == m)
+    for jm, m in enumerate(m_list):
+        counts[:, jm] = np.bincount(owner[flat == m], minlength=len(batch))
 
     entries = []
     std_cols = np.empty_like(counts, dtype=float)
@@ -627,7 +628,6 @@ def clt_battery(
             correlations.append((m_list[a], m_list[b], rho))
 
     return CLTReport(
-        model=model,
         n_samples=len(batch),
         entries=tuple(entries),
         correlations=tuple(correlations),

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,6 +13,15 @@ import pytest
 import cyclecap
 from cyclecap import __version__
 from cyclecap.cli import run
+from cyclecap.limits import (
+    CLTEntry,
+    CLTReport,
+    CriticalRow,
+    CriticalTable,
+    IncrementTest,
+    ProcessBatteryReport,
+    TightnessEstimate,
+)
 from cyclecap.sampler import RNG_ID
 
 
@@ -299,7 +310,7 @@ class TestLimitsAndCLTCommands:
         assert r["regime"] == "Critical"
         assert len(r["rows"]) == 5
         assert 0.0 <= r["tv"] <= 1.0
-        emp_mass = sum(row[1] for row in r["rows"]) + r["empirical_rest"]
+        emp_mass = sum(row["empirical"] for row in r["rows"]) + r["empirical_rest"]
         assert emp_mass == pytest.approx(1.0, abs=1e-12)
         assert doc["rng"] == RNG_ID
 
@@ -332,7 +343,7 @@ class TestLimitsAndCLTCommands:
         assert code == 0
         r = json.loads(out)["result"]
         assert r["triple"] == [0.0, 1.0, 2.0]
-        assert r["estimate"] >= 0.0 and r["std_error"] >= 0.0
+        assert r["value"] >= 0.0 and r["std_error"] >= 0.0
 
     def test_console_script_installed(self):
         proc = subprocess.run(
@@ -342,6 +353,61 @@ class TestLimitsAndCLTCommands:
         )
         assert proc.returncode == 0
         assert "saddle" in proc.stdout
+
+
+def _fields(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+# limits flags per check, and the field names its JSON result must carry
+# besides "check" and "regime"; the diverging battery returns a bare fraction.
+_LIMITS_CHECKS = {
+    "diverging": (["--alpha", "15"], {"K", "fraction"}),
+    "critical": (["--alpha", "95", "--d-max", "4"], _fields(CriticalTable)),
+    "process": (["--alpha", "639", "--grid", "0.5,1"], _fields(ProcessBatteryReport)),
+    "tightness": (["--alpha", "639"], _fields(TightnessEstimate)),
+    "clt": (["--alpha", "12", "--m-list", "10,12"], _fields(CLTReport)),
+}
+# list-valued result keys whose items are report dataclasses
+_NESTED = {"rows": CriticalRow, "increment_tests": IncrementTest, "entries": CLTEntry}
+
+
+class TestReportContract:
+    """A JSON result holds the report's fields under their own names."""
+
+    @pytest.mark.parametrize("check", sorted(_LIMITS_CHECKS))
+    def test_limits_result_keys_are_report_fields(self, capsys, check):
+        flags, fields = _LIMITS_CHECKS[check]
+        argv = ["limits", "--n", "2000", *flags, "--check", check, "--samples", "40", "--seed", "2"]
+        code, out = run_capture(argv, capsys)
+        assert code == 0
+        r = json.loads(out)["result"]
+        assert set(r) == fields | {"check", "regime"}
+        assert r["check"] == check
+        for key, cls in _NESTED.items():
+            for item in r.get(key, []):
+                assert set(item) == _fields(cls)
+
+    def test_clt_battery_matches_limits_clt(self, capsys):
+        model = ["--n", "2000", "--alpha", "12", "--m-list", "10,12"]
+        sampling = ["--samples", "200", "--seed", "5"]
+        code, out = run_capture(["clt", *model, *sampling], capsys)
+        assert code == 0
+        battery = json.loads(out)["result"]["battery"]
+        assert set(battery) == _fields(CLTReport)
+        code, out = run_capture(["limits", *model, "--check", "clt", *sampling], capsys)
+        assert code == 0
+        limits = json.loads(out)["result"]
+        for got, want in zip(battery["entries"], limits["entries"]):
+            assert set(got) == _fields(CLTEntry)
+            assert got["exact_mean"] == want["exact_mean"]
+        assert battery == {k: v for k, v in limits.items() if k not in ("check", "regime")}
+
+
+def test_pyproject_version_matches_package():
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match is not None and match.group(1) == __version__
 
 
 # Commands that compute exact laws, tilts and samples; none of them needs scipy.

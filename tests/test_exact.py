@@ -190,6 +190,18 @@ class TestBlockedKernel:
         with pytest.raises(NumericalError):
             exact._log_linear_dp(np.array(logw), 100)
 
+    def test_overflow_in_the_slack_past_N_is_dropped(self):
+        # h_1 = e^700 fits; h_2 = e^1400/2 and later only sit in the last block's slack
+        logw = np.array([700.0])
+        assert_same_logs(exact._log_linear_dp(logw, 1), log_linear_dp_reference(logw, 1), 1e-15)
+        pmf = compound_poisson_pmf([1e300], 1)
+        assert np.all(np.isfinite(pmf.log_pmf_values))
+        assert pmf.panjer_rel_error(1) == 0.0
+
+    def test_overflow_before_N_still_raises(self):
+        with pytest.raises(NumericalError, match="overflowed"):
+            exact._log_linear_dp(np.array([700.0]), 20)
+
 
 class TestExtremeWeights:
     """Rows whose coefficients span far more than double range."""

@@ -177,6 +177,13 @@ class TestCheckLongestDiverging:
         with pytest.raises(DomainError):
             check_longest_diverging([], DIVERGING, K=1)
 
+    def test_mixed_batch_matches_per_sample_count(self):
+        s = sample_lengths(DIVERGING, 200, seed=4)
+        batch = [CycleType.from_lengths(s[0]), *s[1:]]
+        for K in (1, 2, 4):
+            hits = sum(int(np.count_nonzero(x == DIVERGING.alpha) >= K) for x in s)
+            assert check_longest_diverging(batch, DIVERGING, K) == hits / len(s)
+
 
 class TestCheckLongestCritical:
     def test_table_structure_and_tv(self, critical_samples):
@@ -357,6 +364,16 @@ class TestCLTBattery:
             VANISHING, [1, 2], 1000, mu_threshold=0.5, samples=vanishing_samples[:500]
         )
         assert rep.n_samples == 500
+
+    def test_counts_of_a_mixed_batch(self):
+        model = ConstraintModel(n=2000, alpha=12, theta=1.0)
+        s = sample_lengths(model, 300, seed=6)
+        batch = [CycleType.from_lengths(s[0]), *s[1:]]
+        rep = clt_battery(model, [10, 12], 300, samples=batch)
+        for e in rep.entries:
+            counts = np.array([np.count_nonzero(x == e.m) for x in s])
+            dev = np.mean((counts - e.exact_mean) / math.sqrt(e.mu_m))
+            assert e.standardized_mean == dev
 
     def test_invalid_sample_count(self):
         with pytest.raises(DomainError):
