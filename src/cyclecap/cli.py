@@ -153,19 +153,11 @@ def _emit_json(args, result: dict, with_rng: bool = False) -> None:
     }
     if with_rng:
         artifact["rng"] = RNG_ID
-    _emit(args, json.dumps(artifact, indent=2, sort_keys=True, allow_nan=True) + "\n")
-
-
-def _as_json(value):
-    """A report as plain JSON values: dataclasses become dicts of their fields,
-    tuples, lists and arrays become lists, numpy scalars Python numbers."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _as_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, (tuple, list, np.ndarray)):
-        return [_as_json(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
+    # Reports arrive as dataclasses.asdict dicts; arrays and numpy scalars leave via .tolist().
+    text = json.dumps(
+        artifact, indent=2, sort_keys=True, allow_nan=True, default=lambda o: o.tolist()
+    )
+    _emit(args, text + "\n")
 
 
 def _csv_header_lines(args, with_rng: bool) -> List[str]:
@@ -308,7 +300,7 @@ def _cmd_spcheck(args) -> int:
         "log_exact": exact_log,
         "log_approx": approx.logval,
         "ratio": math.exp(approx.logval - exact_log),
-        "admissibility": _as_json(admissibility_report(q, model.n)),
+        "admissibility": dataclasses.asdict(admissibility_report(q, model.n)),
     }
     _emit_json(args, result)
     return 0
@@ -338,20 +330,18 @@ def _cmd_limits(args) -> int:
         m_list = _parse_int_list(args.m_list, "--m-list")
     batch = sample_lengths(model, args.samples, args.seed)
     if check == "diverging":
-        report = {"K": args.K, "fraction": check_longest_diverging(batch, model, args.K)}
-    elif check == "critical":
-        report = check_longest_critical(batch, model, args.k, args.d_max)
-    elif check == "process":
-        report = poisson_process_battery(batch, model, grid, subbatches=args.subbatches)
-    elif check == "tightness":
-        report = tightness_moment_estimate(batch, model, *triple)
-    else:  # clt
-        report = clt_battery(model, m_list, args.samples, seed=args.seed, samples=batch)
-    result = {
-        "check": check,
-        **_as_json(report),
-        "regime": regime_report(model).classification,
-    }
+        fields = {"K": args.K, "fraction": check_longest_diverging(batch, model, args.K)}
+    else:
+        if check == "critical":
+            report = check_longest_critical(batch, model, args.k, args.d_max)
+        elif check == "process":
+            report = poisson_process_battery(batch, model, grid, subbatches=args.subbatches)
+        elif check == "tightness":
+            report = tightness_moment_estimate(batch, model, *triple)
+        else:  # clt
+            report = clt_battery(model, m_list, args.samples, seed=args.seed, samples=batch)
+        fields = dataclasses.asdict(report)
+    result = {"check": check, **fields, "regime": regime_report(model).classification}
     _emit_json(args, result, with_rng=True)
     return 0
 
@@ -363,13 +353,14 @@ def _cmd_clt(args) -> int:
     m_list = _parse_int_list(args.m_list, "--m-list")
     s_grid = _parse_float_list(args.s_grid, "--s-grid")
     entries = [
-        {"m": m, **_as_json(clt_h_calculus(model, m, s))} for m in m_list for s in s_grid
+        {"m": m, **dataclasses.asdict(clt_h_calculus(model, m, s))} for m in m_list for s in s_grid
     ]
     result = {"h_calculus": entries}
     if args.samples:
         if args.seed is None:
             raise ConfigError("--seed is required when sampling")
-        result["battery"] = _as_json(clt_battery(model, m_list, args.samples, seed=args.seed))
+        battery = clt_battery(model, m_list, args.samples, seed=args.seed)
+        result["battery"] = dataclasses.asdict(battery)
         _emit_json(args, result, with_rng=True)
     else:
         _emit_json(args, result)

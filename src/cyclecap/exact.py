@@ -166,17 +166,17 @@ def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
                 total = buf[end]
                 if _RESCALE_LO <= total <= _RESCALE_HI:
                     continue
+                if not math.isfinite(total) and K + B > N + 1:
+                    # The last block runs past N; its slack may overflow while h_0..h_N fit.
+                    buf[alpha + N + 1 : end] = 0.0
+                    total = buf[end - B : end].sum()
+                # The block's entries are nonnegative, so a finite sum means finite entries.
+                if not math.isfinite(total):
+                    raise NumericalError("the DP overflowed: weights too large for one block")
                 lo = max(K + B, alpha)
                 window = buf[lo:end]
                 # Below range the window may still hold larger, older entries.
                 top = total if total > _RESCALE_HI else window.max()
-                if not math.isfinite(top) and K + B > N + 1:
-                    # The last block runs past N; its slack may overflow while h_0..h_N fit.
-                    buf[alpha + N + 1 : end] = 0.0
-                    total = buf[end - B : end].sum()
-                    top = total if total > _RESCALE_HI else window.max()
-                if not math.isfinite(top):
-                    raise NumericalError("the DP overflowed: weights too large for one block")
                 if top == 0.0 or _RESCALE_LO <= top <= _RESCALE_HI:
                     continue
                 e = math.frexp(top)[1]

@@ -398,9 +398,6 @@ class TestReportContract:
         code, out = run_capture(["limits", *model, "--check", "clt", *sampling], capsys)
         assert code == 0
         limits = json.loads(out)["result"]
-        for got, want in zip(battery["entries"], limits["entries"]):
-            assert set(got) == _fields(CLTEntry)
-            assert got["exact_mean"] == want["exact_mean"]
         assert battery == {k: v for k, v in limits.items() if k not in ("check", "regime")}
 
 

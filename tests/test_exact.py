@@ -198,9 +198,15 @@ class TestBlockedKernel:
         assert np.all(np.isfinite(pmf.log_pmf_values))
         assert pmf.panjer_rel_error(1) == 0.0
 
-    def test_overflow_before_N_still_raises(self):
+    @pytest.mark.parametrize("N", [*range(2, 16), 20])
+    def test_overflow_before_N_still_raises(self, N):
+        # h_2 = e^1400/2 leaves double range at every N >= 2
         with pytest.raises(NumericalError, match="overflowed"):
-            exact._log_linear_dp(np.array([700.0]), 20)
+            exact._log_linear_dp(np.array([700.0]), N)
+
+    def test_overflow_before_N_raises_in_the_pmf(self):
+        with pytest.raises(NumericalError, match="overflowed"):
+            compound_poisson_pmf([1e300], 4)
 
 
 class TestExtremeWeights:
