@@ -41,8 +41,9 @@ from .exact import (
 )
 from .limits import (
     _cutoffs,
+    _flatten,
     _process_counts,
-    _top_k,
+    _top_lengths,
     _validated_grid,
     check_longest_critical,
     check_longest_diverging,
@@ -253,7 +254,7 @@ def _cmd_sample(args) -> int:
             rows.append((i, len(lengths), type_str))
         _emit_csv(args, ("index", "n_cycles", "type"), rows, with_rng=True)
     elif args.emit == "longest":
-        rows = [(i, *_top_k(lengths, 3)) for i, lengths in enumerate(batch)]
+        rows = [(i, *top) for i, top in enumerate(_top_lengths(*_flatten(batch), len(batch), 3))]
         _emit_csv(args, ("index", "ell1", "ell2", "ell3"), rows, with_rng=True)
     else:  # process
         rows = [(i, *counts) for i, counts in enumerate(_process_counts(batch, d))]

@@ -25,11 +25,24 @@ earlier coefficients into the block and T the strictly lower-triangular
 Toeplitz matrix of w_1..w_{B-1} inside it. (D - T)^-1 = sum_r (D^-1 T)^r D^-1
 is a nonnegative Neumann series; the inverses of a chunk of blocks are built
 together by vectorised forward substitution. All terms are nonnegative, so no
-sum cancels. Once per block, if the block leaves [2^-256, 2^256], the active
-window (the last alpha entries) is rescaled by a power of two, which is exact,
-and the exponent is recorded for the stored logs. Per-step relative error is
-a few ulps and accumulates additively, so even k = 10^6 stays well inside the
-1e-10 recurrence contract. Exact zeros stay exact.
+sum cancels.
+
+On wide caps (alpha >= 4096) M takes 512 KiB or more, and one
+matrix-vector product per block reads all of it at memory speed. There the
+blocks advance in panels of P = 96, after van der Hoeven's relaxed
+multiplication ("Relax, but don't be too lazy", JSC 2002): at a panel's start
+the entries it will compute are still zero, so one matrix product of M with
+the panel's P shifted windows gives every block the terms of the
+coefficients older than the panel, and each block adds only those of the
+panel's earlier blocks, at most P*B columns of M. Narrower caps keep P = 1,
+one matrix-vector product per block.
+
+Once per block, if the block leaves [2^-256, 2^256], the active window (the
+last alpha entries) is rescaled by a power of two, which is exact, together
+with the panel's partial sums for its later blocks, and the exponent is
+recorded for the stored logs. Per-step relative error is a few ulps and
+accumulates additively, so even k = 10^6 stays well inside the 1e-10
+recurrence contract. Exact zeros stay exact.
 
 The kernel raises NumericalError instead of returning a damaged table: when a
 block overflows, when a rescale would push a nonzero entry below the normal
@@ -47,6 +60,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConstraintError,
@@ -67,6 +81,9 @@ from .saddle import _perturbed_row, saddle_point_coefficient, solve_saddle
 
 _BLOCK = 16  # indices advanced per Python step
 _CHUNK = 256  # blocks whose in-block inverses are built together
+_PANEL = 96  # blocks per panel on wide caps
+_PANEL_MIN_ALPHA = 4096  # narrower caps advance one block per panel
+_STRIP = 2**17  # doubles of a panel's windows copied per band (1 MiB)
 _RESCALE_HI = 2.0**256  # a block above this (or below its inverse) triggers a rescale
 _RESCALE_LO = 2.0**-256
 _TINY = np.finfo(float).tiny  # smallest normal double
@@ -131,6 +148,36 @@ def _recurrence_residual(k: int, logw: np.ndarray, log_values: np.ndarray) -> fl
     return abs(math.expm1(rhs - lhs))
 
 
+def _panel_blocks(alpha: int) -> int:
+    """Blocks per panel: one below _PANEL_MIN_ALPHA, _PANEL from there on."""
+    return _PANEL if alpha >= _PANEL_MIN_ALPHA else 1
+
+
+def _older_terms(M: np.ndarray, buf: np.ndarray, K0: int, blocks: int, strip: np.ndarray) -> np.ndarray:
+    """Row c < blocks: M @ buf[K0 + c*B : K0 + c*B + alpha], as one matrix product.
+
+    Entries from the panel start K0 on must still be zero in buf (the caller
+    clears the previous block's total, kept in G_K0's slot), so row c holds
+    the terms that coefficients older than the panel carry into its block c.
+    The windows overlap, which BLAS cannot read in place, so they are copied
+    into `strip` a band of columns at a time.
+    """
+    B, alpha = M.shape
+    out = np.zeros((blocks, B))
+    part = np.empty((blocks, B))
+    step = buf.strides[0]
+    windows = as_strided(buf[K0:], (blocks, alpha), (B * step, step))
+    width = len(strip) // blocks
+    # Earlier columns meet only the zeros that stand for k < 0 in every window.
+    for s in range(max(alpha - K0 - (blocks - 1) * B, 0), alpha, width):
+        e = min(s + width, alpha)
+        W = strip[: blocks * (e - s)].reshape(blocks, e - s)
+        np.copyto(W, windows[:, s:e])
+        np.matmul(W, M[:, s:e].T, out=part)
+        out += part
+    return out
+
+
 def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
     """log h_k, k = 0..N, for k*h_k = sum_j exp(logw[j-1])*h_{k-j}, h_0 = 1.
 
@@ -138,6 +185,7 @@ def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
     """
     alpha = len(logw)
     B = _BLOCK
+    P = _panel_blocks(alpha)
     with np.errstate(under="ignore", over="ignore"):
         w = np.exp(logw)
     # M[i, p] = w_{alpha+i-p} carries G_{K-alpha+p} into G_{K+i} (zero for p < i).
@@ -151,6 +199,7 @@ def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
     # block be full length.
     buf = np.zeros(alpha + N + B + 1)
     buf[alpha] = 1.0
+    strip = np.empty(_STRIP if P > 1 else 0)
     events = []  # (first k rescaled, cumulative power of two) per rescale
     exponent = 0
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
@@ -158,10 +207,20 @@ def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
             starts = np.arange(c0, min(c0 + B * _CHUNK, N + 1), B)
             for inv, K in zip(_block_inverses(w_head, starts), starts.tolist()):
                 end = K + alpha + B
-                if K < alpha:  # only the last K columns meet computed entries
-                    r = M[:, alpha - K :] @ buf[alpha : K + alpha]
+                if P == 1:
+                    if K < alpha:  # only the last K columns meet computed entries
+                        r = M[:, alpha - K :] @ buf[alpha : K + alpha]
+                    else:
+                        r = M @ buf[K : K + alpha]
                 else:
-                    r = M @ buf[K : K + alpha]
+                    c = (K - 1) // B % P  # the block's place in its panel
+                    if c == 0:
+                        buf[K + alpha] = 0.0  # the previous block's total, in G_K's slot
+                        R = _older_terms(M, buf, K, min(P, (N - K) // B + 1), strip)
+                        r = R[0]
+                    else:  # add the terms from the panel's own earlier blocks
+                        q0 = max(alpha - c * B, 0)
+                        r = R[c] + M[:, q0:] @ buf[K + q0 : K + alpha]
                 np.dot(inv, r, out=buf[end - B : end + 1])
                 total = buf[end]
                 if _RESCALE_LO <= total <= _RESCALE_HI:
@@ -184,6 +243,11 @@ def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
                 if small.any() and np.any(window[small] > 0.0):
                     raise NumericalError("the DP window spans more than double range")
                 np.ldexp(window, -e, out=window)
+                if P > 1:
+                    # The panel's later rows were summed at the old scale. A row
+                    # pushed below normal is off by under 2^-1074, less than an
+                    # ulp of the normal entries it feeds; those stay guarded.
+                    np.ldexp(R[c + 1 :], -e, out=R[c + 1 :])
                 exponent += e
                 events.append((lo - alpha, exponent))
     G = buf[alpha : alpha + N + 1]
@@ -406,7 +470,9 @@ def compound_poisson_pmf(means: MeansLike, N: int, first_index: int = 1) -> Comp
         return CompoundPoissonDist(
             log_pmf_values=log_pmf, means=dense[b1:], range=(b1, b2), tail_mass=0.0
         )
-    log_pmf = _log_linear_dp(_log_weights(np.arange(1, b2 + 1) * dense), N) - M
+    # At tilt 1 the stored logs are log(e^M p_k), retilted where the DP needs it.
+    table = egf_coefficients(WeightArray(np.arange(1, b2 + 1) * dense), N)
+    log_pmf = table.log_tilted_values - M
     total = log_sum_exp_value(log_pmf)
     tail = -math.expm1(total) if total < 0 else 0.0
     return CompoundPoissonDist(

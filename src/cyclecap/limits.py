@@ -133,13 +133,37 @@ def _flatten(samples: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     return owner, flat
 
 
-def _process_counts(samples: Sequence, d: np.ndarray) -> np.ndarray:
+def _top_lengths(owner: np.ndarray, flat: np.ndarray, count: int, K: int) -> np.ndarray:
+    """Row i: the K longest cycles of sample i of a flattened batch, zero-padded."""
+    if len(flat) == 0:
+        return np.zeros((count, K), dtype=np.int64)
+    sizes = np.bincount(owner, minlength=count)
+    span = int(flat.max()) + 1
+    # owner is nondecreasing, so sorting by (sample, longest first) keeps every
+    # sample's cycles at its own positions, and the key decodes to the length.
+    key = owner.astype(np.int64)
+    key *= span
+    key -= flat.astype(np.int64, copy=False)
+    key.sort()
+    rank = np.arange(K)
+    first = np.cumsum(sizes) - sizes
+    pos = np.minimum(first[:, None] + rank, len(key) - 1)
+    top = np.arange(count, dtype=np.int64)[:, None] * span - key[pos]
+    top[rank >= sizes[:, None]] = 0
+    return top
+
+
+def _counts_longer(owner: np.ndarray, flat: np.ndarray, count: int, d: np.ndarray) -> np.ndarray:
     """Counts of cycles longer than each cutoff: one row per sample, one column per d."""
-    owner, flat = _flatten(samples)
-    counts = np.empty((len(samples), len(d)), dtype=np.int64)
+    counts = np.empty((count, len(d)), dtype=np.int64)
     for col, dv in enumerate(d):
-        counts[:, col] = np.bincount(owner[flat > dv], minlength=len(samples))
+        counts[:, col] = np.bincount(owner[flat > dv], minlength=count)
     return counts
+
+
+def _process_counts(samples: Sequence, d: np.ndarray) -> np.ndarray:
+    """_counts_longer over a batch of samples."""
+    return _counts_longer(*_flatten(samples), len(samples), d)
 
 
 def build_process(sample, model: ConstraintModel, mu_alpha: float, grid) -> ProcessPath:
@@ -238,16 +262,12 @@ def check_longest_critical(
     if d_max < 0:
         raise DomainError(f"d_max must be >= 0, got {d_max}")
     mu_a = _require_regime(model, "Critical")
-    counts = np.zeros(d_max + 2, dtype=np.int64)  # last slot = rest
-    total = 0
-    for s in samples:
-        lengths = _as_lengths(s)
-        ell_k = int(_top_k(lengths, k)[k - 1])
-        d = model.alpha - ell_k
-        counts[d if d <= d_max else d_max + 1] += 1
-        total += 1
+    total = len(samples)
     if total == 0:
         raise DomainError("empty sample batch")
+    ell_k = _top_lengths(*_flatten(samples), total, k)[:, k - 1]
+    d = np.minimum(model.alpha - ell_k, d_max + 1)
+    counts = np.bincount(d, minlength=d_max + 2)  # last slot = rest
     emp = counts / total
     theo = np.array([gamma_floor_pmf(k, mu_a, d) for d in range(d_max + 1)])
     theo_rest = float(special.gammaincc(k, (d_max + 1) * mu_a))
@@ -337,12 +357,10 @@ class ProcessBatteryReport:
 
 def _process_increments(samples: Sequence, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(increments matrix over (0,t_1],(t_1,t_2],..., top-3 lengths matrix)."""
-    counts = _process_counts(samples, d)
-    top3 = np.empty((len(samples), 3), dtype=np.int64)
-    for i, s in enumerate(samples):
-        top3[i] = _top_k(_as_lengths(s), 3)
+    owner, flat = _flatten(samples)
+    counts = _counts_longer(owner, flat, len(samples), d)
     inc = np.diff(counts, axis=1, prepend=0)  # P starts at 0 (d_0 = alpha)
-    return inc, top3
+    return inc, _top_lengths(owner, flat, len(samples), 3)
 
 
 def poisson_process_battery(

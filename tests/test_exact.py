@@ -155,7 +155,7 @@ class TestBlockedKernel:
             reachable[k] = any(reachable[k - j] for j in range(first, min(alpha, k) + 1))
         assert np.array_equal(np.isfinite(got), reachable)
 
-    @pytest.mark.parametrize("n,alpha", [(10**5, 100), (10**5, 1072)])
+    @pytest.mark.parametrize("n,alpha", [(10**5, 100), (10**5, 1072), (10**5, 17782)])
     def test_matches_reference_on_benchmark_tables(self, n, alpha):
         logw = saddle_row(n, alpha)
         assert_same_logs(exact._log_linear_dp(logw, n), log_linear_dp_reference(logw, n), 1e-12)
@@ -204,9 +204,98 @@ class TestBlockedKernel:
         with pytest.raises(NumericalError, match="overflowed"):
             exact._log_linear_dp(np.array([700.0]), N)
 
-    def test_overflow_before_N_raises_in_the_pmf(self):
+    def test_overflow_before_N_is_retilted_in_the_pmf(self):
+        # the table at tilt 1 overflows; the pmf is built from the saddle-tilted one
+        pmf = compound_poisson_pmf([1e300], 4)
+        assert_same_logs(pmf.log_pmf_values, log_linear_dp_reference(np.log([1e300]), 4) - 1e300, 1e-15)
+        means = np.exp([300.0, -5.0, 700.0]) / [1, 2, 3]
         with pytest.raises(NumericalError, match="overflowed"):
-            compound_poisson_pmf([1e300], 4)
+            exact._log_linear_dp(np.log(np.arange(1, 4) * means), 3)
+        expected = log_linear_dp_reference(np.log(np.arange(1, 4) * means), 3)
+        assert abs(expected[3] - 898.2) < 0.05
+        assert_same_logs(compound_poisson_pmf(means, 3).log_pmf_values, expected - np.sum(means), 1e-15)
+
+    def test_underflowing_pmf_is_retilted(self):
+        # p_k = e^-mu mu^k / k! with mu = 1e-300: p_2 is below double range at tilt 1
+        pmf = compound_poisson_pmf([1e-300], 5)
+        k = np.arange(6)
+        expected = k * math.log(1e-300) - 1e-300 - np.array([math.lgamma(v + 1) for v in k])
+        assert_same_logs(pmf.log_pmf_values, expected, 1e-14)
+
+    def test_pmf_tables_that_fit_are_unchanged(self):
+        # the pmf runs the table at tilt 1, exactly as the kernel would on j * mu_j
+        means = np.random.default_rng(1).uniform(0.0, 3.0, 50)
+        got = compound_poisson_pmf(means, 400).log_pmf_values
+        raw = exact._log_linear_dp(np.log(np.arange(1, 51) * means), 400) - np.sum(means)
+        assert np.array_equal(got, raw)
+
+
+class TestPanelKernel:
+    """Caps from _PANEL_MIN_ALPHA on advance a panel of blocks per matrix product."""
+
+    def test_narrow_caps_run_one_block_per_panel(self):
+        assert all(exact._panel_blocks(alpha) == 1 for alpha in range(1, 1073))
+        assert exact._panel_blocks(17782) > 1
+
+    @pytest.mark.parametrize("P", [2, 3, 5, 7])
+    def test_any_panel_size_matches_the_reference(self, monkeypatch, P):
+        # Small caps forced into panels: panels start while K < alpha, the last
+        # one is partial, and once c*B >= alpha the window of a panel's block c
+        # lies wholly inside the panel.
+        monkeypatch.setattr(exact, "_panel_blocks", lambda alpha: P)
+        for alpha in (1, 2, 5, 17, 64, 100):
+            logw = np.log(np.linspace(0.3, 2.5, alpha)) + 0.1 * np.sin(np.arange(alpha))
+            for N in range(0, 200, 7):
+                assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-13)
+
+    def test_several_panels_with_a_partial_last_one(self):
+        alpha = exact._PANEL_MIN_ALPHA
+        span = exact._panel_blocks(alpha) * exact._BLOCK
+        N = 3 * span + 5 * exact._BLOCK + 3  # every panel starts while K < alpha
+        assert 2 * span < alpha
+        logw = np.log(np.linspace(0.5, 1.5, alpha)) + 0.1 * np.sin(np.arange(alpha))
+        assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
+
+    @pytest.mark.parametrize("slope", [0.02, -0.02])
+    def test_rescale_inside_a_panel(self, slope):
+        # h_k grows (or decays) like e^(slope*k): each way the window is rescaled
+        # several times inside panels, and the panels' later rows with it.
+        alpha, N = exact._PANEL_MIN_ALPHA, 30000
+        logw = slope * np.arange(1, alpha + 1)
+        assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
+
+    def test_panel_rows_below_normal_after_a_rescale(self):
+        # Weights past 1000 are subnormal, so the later rows of a panel, which
+        # only those weights reach, fall below normal when a rescale scales them
+        # down; the entries they feed stay exact to an ulp.
+        alpha, N = exact._PANEL_MIN_ALPHA, 60000
+        logw = np.full(alpha, -720.0)
+        logw[:1000] = 0.01 * np.arange(1, 1001)
+        assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
+
+    def test_zero_prefix_wide_row_keeps_exact_zeros(self):
+        first, alpha, N = 20, 5000, 6000
+        logw = np.zeros(alpha)
+        logw[: first - 1] = -np.inf
+        got = exact._log_linear_dp(logw, N)
+        assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
+        assert np.array_equal(np.isfinite(got), (np.arange(N + 1) == 0) | (np.arange(N + 1) >= first))
+
+    @pytest.mark.parametrize(
+        "head",
+        [[200.0] * 5, [-np.inf, -800.0], [-720.0], [-700.0, 50.0]],
+    )
+    def test_wide_rows_still_raise(self, head):
+        logw = np.full(5000, -np.inf)
+        logw[: len(head)] = head
+        with pytest.raises(NumericalError):
+            exact._log_linear_dp(logw, 3000)
+
+    def test_bit_identical_reruns_at_a_wide_cap(self):
+        logw = saddle_row(10**5, 17782)
+        assert exact._panel_blocks(17782) > 1
+        first = exact._log_linear_dp(logw, 10**5)
+        assert np.array_equal(first, exact._log_linear_dp(logw, 10**5))
 
 
 class TestExtremeWeights:

@@ -7,8 +7,11 @@ from scipy import special, stats
 from cyclecap.errors import DomainError, RegimeError
 from cyclecap.exact import cycle_count_distribution
 from cyclecap.limits import (
+    _flatten,
     _poisson_chisquare,
     _process_counts,
+    _top_k,
+    _top_lengths,
     build_process,
     check_longest_critical,
     check_longest_diverging,
@@ -116,6 +119,19 @@ class TestBuildProcess:
             lengths = s.lengths() if isinstance(s, CycleType) else s
             assert row.tolist() == [int(np.count_nonzero(lengths > dv)) for dv in d]
         assert _process_counts([], d).shape == (0, len(d))
+
+    @pytest.mark.parametrize("K", [1, 3, 7])
+    def test_batch_top_lengths_match_per_sample_top_k(self, critical_samples, K):
+        # empty samples, ties and samples with fewer than K cycles mixed in one batch
+        batch = [np.array([], dtype=np.int64), CycleType.from_lengths([4, 4, 1])]
+        batch += [np.array([5, 2, 9, 2, 9], dtype=np.int64), np.array([7], dtype=np.int64)]
+        batch += list(critical_samples[:200]) + [np.array([], dtype=np.int64)]
+        top = _top_lengths(*_flatten(batch), len(batch), K)
+        assert top.shape == (len(batch), K)
+        for row, s in zip(top, batch):
+            lengths = s.lengths() if isinstance(s, CycleType) else s
+            assert row.tolist() == _top_k(lengths, K).tolist()
+        assert _top_lengths(*_flatten([]), 0, K).shape == (0, K)
 
 
 class TestGammaFloorPmf:
