@@ -164,7 +164,6 @@ def _older_terms(M: np.ndarray, buf: np.ndarray, K0: int, blocks: int, strip: np
     """
     B, alpha = M.shape
     out = np.zeros((blocks, B))
-    part = np.empty((blocks, B))
     step = buf.strides[0]
     windows = as_strided(buf[K0:], (blocks, alpha), (B * step, step))
     width = len(strip) // blocks
@@ -173,8 +172,7 @@ def _older_terms(M: np.ndarray, buf: np.ndarray, K0: int, blocks: int, strip: np
         e = min(s + width, alpha)
         W = strip[: blocks * (e - s)].reshape(blocks, e - s)
         np.copyto(W, windows[:, s:e])
-        np.matmul(W, M[:, s:e].T, out=part)
-        out += part
+        out += W @ M[:, s:e].T
     return out
 
 
