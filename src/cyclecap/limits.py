@@ -32,11 +32,16 @@ stays bounded or falls, the standardized law does not approach N(0,1).
 Sample batches are accepted either as CycleType objects or as plain arrays of
 cycle lengths (the memory-light form produced by the sampler for large n).
 
-scipy is imported inside the functions that use it, on their first call:
-scipy.special by gamma_floor_pmf and check_longest_critical, scipy.stats by
-the chi-square, KS and normal-CDF checks of poisson_process_battery,
-discrete_ks_to_normal (and so exact_standardized_ks) and clt_battery.
-Importing this module, or the package, loads numpy and nothing from scipy.
+Every battery validates its samples against the model: each cycle length is
+an integer in 1..alpha and each sample's lengths sum to n.
+
+The batteries take every distribution they need from scipy.special: the
+Poisson pmf and tail, the chi-square tail, the normal CDF, and the exact
+two-sided KS law (cyclecap._kolmogorov). They never import scipy's
+statistics subpackage, whose import alone costs several times their work.
+scipy.special is imported inside the functions that use it, on their first
+call: importing this module, or the package, loads numpy and nothing from
+scipy.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError, NumericalError, RegimeError
 from .exact import cycle_count_distribution, expected_cycle_count
 from .model import ConstraintModel, CycleType
 from .saddle import mu, regime_report, solve_model_saddle
@@ -133,6 +138,27 @@ def _flatten(samples: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     return owner, flat
 
 
+def _checked_flatten(samples: Sequence, model: ConstraintModel) -> Tuple[np.ndarray, np.ndarray]:
+    """_flatten of a batch whose every sample is a cycle type of the model."""
+    owner, flat = _flatten(samples)
+    if len(samples) == 0:
+        return owner, flat
+    starts = np.searchsorted(owner, np.arange(len(samples), dtype=owner.dtype))
+    empty = np.flatnonzero(np.diff(starts, append=len(flat)) == 0)
+    if len(empty):
+        raise DomainError(f"sample {int(empty[0])} has no cycles")
+    if not np.issubdtype(flat.dtype, np.integer):
+        raise DomainError(f"cycle lengths must be integers, got dtype {flat.dtype}")
+    if flat.min() < 1 or flat.max() > model.alpha:
+        raise DomainError(f"cycle lengths must lie in 1..alpha = {model.alpha}")
+    sums = np.add.reduceat(flat, starts)
+    wrong = np.flatnonzero(sums != model.n)
+    if len(wrong):
+        i = int(wrong[0])
+        raise DomainError(f"the cycle lengths of sample {i} sum to {sums[i]}, not n = {model.n}")
+    return owner, flat
+
+
 def _top_lengths(owner: np.ndarray, flat: np.ndarray, count: int, K: int) -> np.ndarray:
     """Row i: the K longest cycles of sample i of a flattened batch, zero-padded."""
     if len(flat) == 0:
@@ -173,7 +199,8 @@ def build_process(sample, model: ConstraintModel, mu_alpha: float, grid) -> Proc
     """
     g = _validated_grid(grid)
     d = _cutoffs(g, mu_alpha, model.alpha)
-    return ProcessPath(grid=g, counts=_process_counts([sample], d)[0], d_values=d)
+    counts = _counts_longer(*_checked_flatten([sample], model), 1, d)[0]
+    return ProcessPath(grid=g, counts=counts, d_values=d)
 
 
 def gamma_floor_pmf(k: int, mu_value: float, d: int) -> float:
@@ -218,7 +245,7 @@ def check_longest_diverging(samples: Sequence, model: ConstraintModel, K: int) -
     total = len(samples)
     if total == 0:
         raise DomainError("empty sample batch")
-    owner, flat = _flatten(samples)
+    owner, flat = _checked_flatten(samples, model)
     at_cap = np.bincount(owner[flat == model.alpha], minlength=total)
     return int(np.count_nonzero(at_cap >= K)) / total
 
@@ -265,7 +292,7 @@ def check_longest_critical(
     total = len(samples)
     if total == 0:
         raise DomainError("empty sample batch")
-    ell_k = _top_lengths(*_flatten(samples), total, k)[:, k - 1]
+    ell_k = _top_lengths(*_checked_flatten(samples, model), total, k)[:, k - 1]
     d = np.minimum(model.alpha - ell_k, d_max + 1)
     counts = np.bincount(d, minlength=d_max + 2)  # last slot = rest
     emp = counts / total
@@ -299,16 +326,16 @@ def _poisson_chisquare(counts: np.ndarray, lam: float) -> Tuple[float, float, in
     every expected count reaches the minimum; degenerate cases (fewer than
     two bins) return a trivial pass based on exact agreement.
     """
-    from scipy import stats
+    from scipy import special
 
     n = len(counts)
     if lam <= 0:
         return (0.0, 1.0, 0) if np.all(counts == 0) else (math.inf, 0.0, 0)
     kmax = int(np.max(counts))
     ks = np.arange(kmax + 1)
-    pk = stats.poisson.pmf(ks, lam)
+    pk = np.exp(special.xlogy(ks, lam) - special.gammaln(ks + 1) - lam)
     expected = n * pk
-    expected_tail = n * float(stats.poisson.sf(kmax, lam))
+    expected_tail = n * float(special.pdtrc(kmax, lam))
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
     # fold the analytic tail into the last bin, then merge until all >= min
     exp_bins = list(expected)
@@ -324,8 +351,15 @@ def _poisson_chisquare(counts: np.ndarray, lam: float) -> Tuple[float, float, in
         obs_bins[0] += o
     if len(exp_bins) < 2:
         return (0.0, 1.0, 0)
-    statistic, pvalue = stats.chisquare(obs_bins, exp_bins)
-    return (float(statistic), float(pvalue), len(exp_bins) - 1)
+    obs, exp = np.array(obs_bins), np.array(exp_bins)
+    obs_total, exp_total = np.sum(obs), np.sum(exp)
+    if abs(obs_total - exp_total) / min(obs_total, exp_total) > np.finfo(float).eps ** 0.5:
+        raise NumericalError(
+            f"Poisson({lam}) bins hold {exp_total:.17g} expected counts for {obs_total:.17g} observed"
+        )
+    statistic = float(np.sum((obs - exp) ** 2 / exp))
+    dof = len(exp_bins) - 1
+    return (statistic, float(special.chdtrc(dof, statistic)), dof)
 
 
 @dataclass(frozen=True)
@@ -355,9 +389,11 @@ class ProcessBatteryReport:
         return _SIGNIFICANCE
 
 
-def _process_increments(samples: Sequence, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _process_increments(
+    samples: Sequence, model: ConstraintModel, d: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """(increments matrix over (0,t_1],(t_1,t_2],..., top-3 lengths matrix)."""
-    owner, flat = _flatten(samples)
+    owner, flat = _checked_flatten(samples, model)
     counts = _counts_longer(owner, flat, len(samples), d)
     inc = np.diff(counts, axis=1, prepend=0)  # P starts at 0 (d_0 = alpha)
     return inc, _top_lengths(owner, flat, len(samples), 3)
@@ -382,13 +418,15 @@ def poisson_process_battery(
     correlations reject at any fixed n; the limit theorem is checked by
     running the battery at increasing n and watching those deviations shrink.
     """
-    from scipy import stats
+    from scipy import special
+
+    from ._kolmogorov import ks_two_sided
 
     if subbatches < 1:
         raise DomainError(f"subbatches must be >= 1, got {subbatches}")
     g = _validated_grid(grid)
     mu_a = _require_regime(model, "Vanishing")
-    inc, top3 = _process_increments(samples, _cutoffs(g, mu_a, model.alpha))
+    inc, top3 = _process_increments(samples, model, _cutoffs(g, mu_a, model.alpha))
     n_samples = len(inc)
     if n_samples == 0:
         raise DomainError("empty sample batch")
@@ -426,13 +464,14 @@ def poisson_process_battery(
             off = corr[~np.eye(len(live), dtype=bool)]
             max_corr = float(np.max(np.abs(off)))
 
-    scaled_gap = mu_a * (model.alpha - top3[:, 0])
-    ks_longest = stats.kstest(scaled_gap, "expon")
+    def exp1_cdf(x):
+        return -special.expm1(-x)
+
+    ks_longest = ks_two_sided(mu_a * (model.alpha - top3[:, 0]), exp1_cdf)
     spacing_reports = []
     for k in (1, 2):
         spacing = mu_a * (top3[:, k - 1] - top3[:, k])
-        res = stats.kstest(spacing, "expon")
-        spacing_reports.append((k, float(res.statistic), float(res.pvalue)))
+        spacing_reports.append((k, *ks_two_sided(spacing, exp1_cdf)))
 
     return ProcessBatteryReport(
         grid=g,
@@ -442,7 +481,7 @@ def poisson_process_battery(
         increment_tests=tuple(tests),
         failed_fraction=failed_fraction,
         max_abs_correlation=max_corr,
-        ks_longest=(float(ks_longest.statistic), float(ks_longest.pvalue)),
+        ks_longest=ks_longest,
         ks_spacings=tuple(spacing_reports),
     )
 
@@ -466,7 +505,8 @@ def tightness_moment_estimate(
     if not (0 <= t1 <= t <= t2):
         raise DomainError(f"need 0 <= t1 <= t <= t2, got ({t1}, {t}, {t2})")
     mu_a = _require_regime(model, "Vanishing")
-    counts = _process_counts(samples, _cutoffs(np.array([t1, t, t2]), mu_a, model.alpha))
+    d = _cutoffs(np.array([t1, t, t2]), mu_a, model.alpha)
+    counts = _counts_longer(*_checked_flatten(samples, model), len(samples), d)
     x = counts[:, 1] - counts[:, 0]
     y = counts[:, 2] - counts[:, 1]
     vals = ((x * x) * (y * y)).astype(float)
@@ -525,12 +565,12 @@ def discrete_ks_to_normal(z_atoms: np.ndarray, log_pmf: np.ndarray) -> float:
     The supremum over a step-vs-continuous comparison is attained at an atom,
     approached from either side, so both one-sided gaps are taken per atom.
     """
-    from scipy import stats
+    from scipy import special
 
     with np.errstate(under="ignore"):
         p = np.exp(log_pmf)
     cdf = np.cumsum(p)
-    phi = stats.norm.cdf(z_atoms)
+    phi = special.ndtr(z_atoms)
     upper = np.max(np.abs(cdf - phi))
     lower = np.max(np.abs(np.concatenate(([0.0], cdf[:-1])) - phi))
     return float(max(upper, lower))
@@ -590,8 +630,9 @@ def clt_battery(
     empirical correlation of the standardized counts (limit: 0). Every m must
     satisfy mu_m >= mu_threshold (the divergence hypothesis proxy).
     """
-    from scipy import stats
+    from scipy import special
 
+    from ._kolmogorov import ks_two_sided
     from .sampler import sample_lengths  # deferred: sampler imports exact
 
     if n_samples < 1:
@@ -607,7 +648,9 @@ def clt_battery(
             )
         mus[m] = mu_m
     batch = samples if samples is not None else sample_lengths(model, n_samples, seed)
-    owner, flat = _flatten(batch)
+    if len(batch) == 0:
+        raise DomainError("empty sample batch")
+    owner, flat = _checked_flatten(batch, model)
     counts = np.empty((len(batch), len(m_list)), dtype=np.int64)
     for jm, m in enumerate(m_list):
         counts[:, jm] = np.bincount(owner[flat == m], minlength=len(batch))
@@ -619,7 +662,7 @@ def clt_battery(
         exact_mean = expected_cycle_count(model, m)
         std = (counts[:, jm] - mu_m) / math.sqrt(mu_m)
         std_cols[:, jm] = std
-        ks = stats.kstest(std, "norm")
+        ks_stat, ks_pvalue = ks_two_sided(std, special.ndtr)
         mean_dev = float(np.mean((counts[:, jm] - exact_mean) / math.sqrt(mu_m)))
         exact_ks = exact_standardized_ks(model, m) if model.n <= exact_law_max_n else None
         entries.append(
@@ -627,8 +670,8 @@ def clt_battery(
                 m=m,
                 mu_m=mu_m,
                 exact_mean=exact_mean,
-                ks_stat=float(ks.statistic),
-                ks_pvalue=float(ks.pvalue),
+                ks_stat=ks_stat,
+                ks_pvalue=ks_pvalue,
                 standardized_mean=mean_dev,
                 mean_bound=3.0 / math.sqrt(len(batch)),
                 exact_ks=exact_ks,

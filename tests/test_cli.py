@@ -423,9 +423,26 @@ _SCIPY_FREE_COMMANDS = [
     ["clt", "--n", "2000", "--alpha", "12", "--m-list", "10,12", "--s-grid", "0,0.1"],
 ]
 
-_CRITICAL_COMMAND = [
-    "limits", "--n", "2000", "--alpha", "95", "--check", "critical",
-    "--samples", "20", "--seed", "5", "--d-max", "4",
+# Every battery command; they load scipy.special and nothing from scipy.stats.
+_BATTERY_COMMANDS = [
+    ["clt", "--n", "2000", "--alpha", "12", "--m-list", "10,12", "--samples", "50", "--seed", "5"],
+    ["limits", "--n", "2000", "--alpha", "15", "--check", "diverging", "--samples", "20", "--seed", "5"],
+    [
+        "limits", "--n", "2000", "--alpha", "95", "--check", "critical",
+        "--samples", "20", "--seed", "5", "--d-max", "4",
+    ],
+    [
+        "limits", "--n", "2000", "--alpha", "639", "--check", "process",
+        "--samples", "50", "--seed", "5", "--grid", "0.5,1", "--subbatches", "2",
+    ],
+    [
+        "limits", "--n", "2000", "--alpha", "639", "--check", "tightness",
+        "--samples", "20", "--seed", "5", "--triple", "0.5,1,1.5",
+    ],
+    [
+        "limits", "--n", "2000", "--alpha", "12", "--check", "clt",
+        "--samples", "50", "--seed", "5", "--m-list", "10,12",
+    ],
 ]
 
 _IMPORT_PROBE = textwrap.dedent(
@@ -472,9 +489,10 @@ class TestImportPath:
             assert code == 0, step
             assert scipy_modules == [], step
 
-    def test_critical_battery_loads_special_only(self):
-        report = _probe_imports([_CRITICAL_COMMAND])
-        code, scipy_modules = report[" ".join(_CRITICAL_COMMAND)]
-        assert code == 0
+    def test_battery_commands_never_load_scipy_stats(self):
+        report = _probe_imports(_BATTERY_COMMANDS)
+        assert len(report) == 2 + len(_BATTERY_COMMANDS)
+        for step, (code, scipy_modules) in report.items():
+            assert code == 0, step
+            assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in scipy_modules), step
         assert "scipy.special" in scipy_modules
-        assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in scipy_modules)

@@ -394,3 +394,49 @@ class TestCLTBattery:
     def test_invalid_sample_count(self):
         with pytest.raises(DomainError):
             clt_battery(DIVERGING, [1], 0)
+
+
+def _invalid_batches(model):
+    """Batches that are not cycle types of the model: a valid sample, then a bad one."""
+    n, a = model.n, model.alpha
+    ok = np.array([a] * (n // a) + ([n % a] if n % a else []), dtype=np.int64)
+    return {
+        "longer than alpha": [ok, np.array([a + 1, n - a - 1])],
+        "zero length": [ok, np.concatenate(([0], ok))],
+        "wrong sum": [ok, ok[1:]],
+        "empty sample": [ok, np.array([], dtype=np.int64)],
+        "not integers": [ok, ok.astype(float)],
+    }
+
+
+CLT_MODEL = ConstraintModel(n=2000, alpha=12, theta=1.0)
+_BATTERIES = {
+    "diverging": (DIVERGING, lambda b: check_longest_diverging(b, DIVERGING, 1)),
+    "critical": (CRITICAL, lambda b: check_longest_critical(b, CRITICAL, 1, 5)),
+    "process": (VANISHING, lambda b: poisson_process_battery(b, VANISHING, [0.5, 1.0])),
+    "tightness": (VANISHING, lambda b: tightness_moment_estimate(b, VANISHING, 0.5, 1.0, 1.5)),
+    "clt": (CLT_MODEL, lambda b: clt_battery(CLT_MODEL, [10, 12], len(b), samples=b)),
+    "build_process": (VANISHING, lambda b: build_process(b[-1], VANISHING, 0.01, [0.5, 1.0])),
+}
+
+
+class TestSampleValidation:
+    @pytest.mark.parametrize("battery", sorted(_BATTERIES))
+    @pytest.mark.parametrize("case", sorted(_invalid_batches(CRITICAL)))
+    def test_invalid_sample_raises_domain_error(self, battery, case):
+        model, run = _BATTERIES[battery]
+        with pytest.raises(DomainError):
+            run(_invalid_batches(model)[case])
+
+    @pytest.mark.parametrize("battery", sorted(_BATTERIES))
+    def test_valid_batch_is_accepted(self, battery):
+        model, run = _BATTERIES[battery]
+        run(sample_lengths(model, 30, seed=9))
+
+    def test_cycle_beyond_the_cap_in_critical_check(self):
+        with pytest.raises(DomainError, match="1..alpha"):
+            check_longest_critical([np.array([200, 1800])], CRITICAL, 1, 5)
+
+    def test_clt_battery_refuses_an_empty_batch(self):
+        with pytest.raises(DomainError):
+            clt_battery(CLT_MODEL, [10, 12], 1, samples=[])
