@@ -139,10 +139,10 @@ def _flatten(samples: Sequence) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_flatten(samples: Sequence, model: ConstraintModel) -> Tuple[np.ndarray, np.ndarray]:
-    """_flatten of a batch whose every sample is a cycle type of the model."""
-    owner, flat = _flatten(samples)
+    """_flatten of a nonempty batch whose every sample is a cycle type of the model."""
     if len(samples) == 0:
-        return owner, flat
+        raise DomainError("empty sample batch")
+    owner, flat = _flatten(samples)
     starts = np.searchsorted(owner, np.arange(len(samples), dtype=owner.dtype))
     empty = np.flatnonzero(np.diff(starts, append=len(flat)) == 0)
     if len(empty):
@@ -243,8 +243,6 @@ def check_longest_diverging(samples: Sequence, model: ConstraintModel, K: int) -
     if K == 0:
         return 1.0
     total = len(samples)
-    if total == 0:
-        raise DomainError("empty sample batch")
     owner, flat = _checked_flatten(samples, model)
     at_cap = np.bincount(owner[flat == model.alpha], minlength=total)
     return int(np.count_nonzero(at_cap >= K)) / total
@@ -290,8 +288,6 @@ def check_longest_critical(
         raise DomainError(f"d_max must be >= 0, got {d_max}")
     mu_a = _require_regime(model, "Critical")
     total = len(samples)
-    if total == 0:
-        raise DomainError("empty sample batch")
     ell_k = _top_lengths(*_checked_flatten(samples, model), total, k)[:, k - 1]
     d = np.minimum(model.alpha - ell_k, d_max + 1)
     counts = np.bincount(d, minlength=d_max + 2)  # last slot = rest
@@ -428,8 +424,6 @@ def poisson_process_battery(
     mu_a = _require_regime(model, "Vanishing")
     inc, top3 = _process_increments(samples, model, _cutoffs(g, mu_a, model.alpha))
     n_samples = len(inc)
-    if n_samples == 0:
-        raise DomainError("empty sample batch")
     widths = np.diff(g, prepend=0.0)
 
     tests: List[IncrementTest] = []
@@ -510,8 +504,6 @@ def tightness_moment_estimate(
     x = counts[:, 1] - counts[:, 0]
     y = counts[:, 2] - counts[:, 1]
     vals = ((x * x) * (y * y)).astype(float)
-    if len(vals) == 0:
-        raise DomainError("empty sample batch")
     return TightnessEstimate(
         triple=(t1, t, t2),
         value=float(np.mean(vals)),
@@ -648,8 +640,6 @@ def clt_battery(
             )
         mus[m] = mu_m
     batch = samples if samples is not None else sample_lengths(model, n_samples, seed)
-    if len(batch) == 0:
-        raise DomainError("empty sample batch")
     owner, flat = _checked_flatten(batch, model)
     counts = np.empty((len(batch), len(m_list)), dtype=np.int64)
     for jm, m in enumerate(m_list):

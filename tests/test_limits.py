@@ -415,7 +415,7 @@ _BATTERIES = {
     "critical": (CRITICAL, lambda b: check_longest_critical(b, CRITICAL, 1, 5)),
     "process": (VANISHING, lambda b: poisson_process_battery(b, VANISHING, [0.5, 1.0])),
     "tightness": (VANISHING, lambda b: tightness_moment_estimate(b, VANISHING, 0.5, 1.0, 1.5)),
-    "clt": (CLT_MODEL, lambda b: clt_battery(CLT_MODEL, [10, 12], len(b), samples=b)),
+    "clt": (CLT_MODEL, lambda b: clt_battery(CLT_MODEL, [10, 12], 1, samples=b)),
     "build_process": (VANISHING, lambda b: build_process(b[-1], VANISHING, 0.01, [0.5, 1.0])),
 }
 
@@ -437,6 +437,7 @@ class TestSampleValidation:
         with pytest.raises(DomainError, match="1..alpha"):
             check_longest_critical([np.array([200, 1800])], CRITICAL, 1, 5)
 
-    def test_clt_battery_refuses_an_empty_batch(self):
-        with pytest.raises(DomainError):
-            clt_battery(CLT_MODEL, [10, 12], 1, samples=[])
+    @pytest.mark.parametrize("battery", sorted(set(_BATTERIES) - {"build_process"}))
+    def test_empty_batch_raises_domain_error(self, battery):
+        with pytest.raises(DomainError, match="empty sample batch"):
+            _BATTERIES[battery][1]([])
