@@ -33,6 +33,7 @@ on this module; nothing here imports `exact`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -172,8 +173,20 @@ def solve_saddle(q: WeightArray, n: float) -> SaddleSolution:
     return SaddleSolution(x=math.exp(t), residual=residual, log_lambdas=log_lambdas, q=q, n=n)
 
 
+# One entry, as for exact._build_tilted, which reads it: a command asks for
+# one model's tilt several times in a row.
+@functools.lru_cache(maxsize=1)
+def _model_solution(n: int, alpha: int, theta: float) -> SaddleSolution:
+    """The tilt of the constant row q_j = theta, j <= alpha, with target n."""
+    q = WeightArray.constant(theta, alpha)
+    q.q.setflags(write=False)  # the cached solution is shared
+    return solve_saddle(q, float(n))
+
+
 def solve_model_saddle(model: ConstraintModel, c: float = 1.0) -> SaddleSolution:
-    """Tilt of the constant row q_j = theta with target c*n."""
+    """Tilt of the constant row q_j = theta with target c*n (solved once per model at c = 1)."""
+    if c == 1.0:
+        return _model_solution(model.n, model.alpha, model.theta)
     return solve_saddle(WeightArray.for_model(model), c * model.n)
 
 

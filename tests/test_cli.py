@@ -345,6 +345,26 @@ class TestLimitsAndCLTCommands:
         assert r["triple"] == [0.0, 1.0, 2.0]
         assert r["value"] >= 0.0 and r["std_error"] >= 0.0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--alpha", "95", "--check", "critical", "--d-max", "4"],
+            ["--alpha", "639", "--check", "process", "--grid", "0.5,1"],
+            ["--alpha", "12", "--check", "clt", "--m-list", "10,12"],
+        ],
+    )
+    def test_limits_checks_solve_the_models_row_once(self, flags, capsys, monkeypatch):
+        # The draws, the regime guard and the battery's means share one solve.
+        solve, calls = cyclecap.saddle.solve_saddle, []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "cyclecap" and getattr(module, "solve_saddle", None) is solve:
+                monkeypatch.setattr(module, "solve_saddle", lambda q, n: calls.append(n) or solve(q, n))
+        cyclecap.saddle._model_solution.cache_clear()
+        cyclecap.exact._build_tilted.cache_clear()
+        code, _ = run_capture(["limits", "--n", "2000", *flags, "--samples", "50", "--seed", "3"], capsys)
+        assert code == 0
+        assert calls == [2000.0]
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cyclecap.cli", "--help"],

@@ -230,6 +230,21 @@ class TestBlockedKernel:
         assert np.array_equal(got, raw)
 
 
+@pytest.fixture
+def fft_verdicts(monkeypatch):
+    """Whether each panel's FFT middle product was certified (True) or fell back."""
+    verdicts = []
+    certified = exact._MiddleProduct.older_terms
+
+    def recording(self, buf, K0, blocks):
+        R = certified(self, buf, K0, blocks)
+        verdicts.append(R is not None)
+        return R
+
+    monkeypatch.setattr(exact._MiddleProduct, "older_terms", recording)
+    return verdicts
+
+
 class TestPanelKernel:
     """Caps from _PANEL_MIN_ALPHA on advance a panel of blocks per matrix product."""
 
@@ -257,14 +272,16 @@ class TestPanelKernel:
         assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
 
     @pytest.mark.parametrize("slope", [0.02, -0.02])
-    def test_rescale_inside_a_panel(self, slope):
+    def test_rescale_inside_a_panel(self, slope, fft_verdicts):
         # h_k grows (or decays) like e^(slope*k): each way the window is rescaled
         # several times inside panels, and the panels' later rows with it.
         alpha, N = exact._PANEL_MIN_ALPHA, 30000
         logw = slope * np.arange(1, alpha + 1)
         assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
+        # Each window spans e^(0.02*alpha) = e^82, so no FFT product is certified.
+        assert False in fft_verdicts
 
-    def test_panel_rows_below_normal_after_a_rescale(self):
+    def test_panel_rows_below_normal_after_a_rescale(self, fft_verdicts):
         # Weights past 1000 are subnormal, so the later rows of a panel, which
         # only those weights reach, fall below normal when a rescale scales them
         # down; the entries they feed stay exact to an ulp.
@@ -272,30 +289,82 @@ class TestPanelKernel:
         logw = np.full(alpha, -720.0)
         logw[:1000] = 0.01 * np.arange(1, 1001)
         assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
+        assert False in fft_verdicts
 
-    def test_zero_prefix_wide_row_keeps_exact_zeros(self):
+    def test_zero_prefix_wide_row_keeps_exact_zeros(self, fft_verdicts):
         first, alpha, N = 20, 5000, 6000
         logw = np.zeros(alpha)
         logw[: first - 1] = -np.inf
         got = exact._log_linear_dp(logw, N)
         assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
         assert np.array_equal(np.isfinite(got), (np.arange(N + 1) == 0) | (np.arange(N + 1) >= first))
+        assert False in fft_verdicts  # the first panel's outputs h_1..h_19 are true zeros
 
     @pytest.mark.parametrize(
         "head",
         [[200.0] * 5, [-np.inf, -800.0], [-720.0], [-700.0, 50.0]],
     )
-    def test_wide_rows_still_raise(self, head):
+    def test_wide_rows_still_raise(self, head, fft_verdicts):
         logw = np.full(5000, -np.inf)
         logw[: len(head)] = head
         with pytest.raises(NumericalError):
             exact._log_linear_dp(logw, 3000)
+        assert False in fft_verdicts
+
+    def test_fft_serves_every_panel_but_the_first_on_the_benchmark_row(self, fft_verdicts):
+        # The first panel's window holds h_0 alone, so its outputs are the
+        # weights w_1..w_PB, far below |w|: the certificate fails there.
+        n, alpha = 10**5, 17782
+        exact._log_linear_dp(saddle_row(n, alpha), n)
+        span = exact._panel_blocks(alpha) * exact._BLOCK
+        assert fft_verdicts == [False] + [True] * (-(-n // span) - 1)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 3.0])
+    def test_fft_error_stays_inside_its_certificate(self, monkeypatch, theta):
+        # Sampled outputs of every certified product against a long-double sum
+        # of the same terms: the measured error uses at most a tenth of the bound.
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("np.longdouble has no extended precision on this platform")
+        n, alpha = 10**4, 5000
+        logw = saddle_row(n, alpha, theta)
+        w = np.exp(logw).astype(np.longdouble)
+        certified = exact._MiddleProduct.older_terms
+        ratios = []
+
+        def measuring(self, buf, K0, blocks):
+            R = certified(self, buf, K0, blocks)
+            if R is not None:
+                u = buf[K0 : K0 + alpha]
+                unit = self.error_bound(u) / exact._FFT_C
+                y = R.ravel()
+                for t in [*range(0, len(y), 37), int(np.argmin(y))]:
+                    # y_t = sum_{s >= t} w_{alpha+t-s} u_s
+                    exact_t = np.dot(w[alpha - 1 : t - 1 if t else None : -1], u[t:].astype(np.longdouble))
+                    ratios.append(float(abs(y[t] - exact_t)) / unit)
+            return R
+
+        monkeypatch.setattr(exact._MiddleProduct, "older_terms", measuring)
+        exact._log_linear_dp(logw, n)
+        assert ratios and max(ratios) <= exact._FFT_C / 10
 
     def test_bit_identical_reruns_at_a_wide_cap(self):
         logw = saddle_row(10**5, 17782)
         assert exact._panel_blocks(17782) > 1
         first = exact._log_linear_dp(logw, 10**5)
         assert np.array_equal(first, exact._log_linear_dp(logw, 10**5))
+
+
+@given(st.integers(min_value=1, max_value=10**4))
+def test_smooth_length_is_the_least_5_smooth_length(n):
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    L = exact._smooth_length(n)
+    assert L >= n and smooth(L)
+    assert not any(smooth(m) for m in range(n, L))
 
 
 class TestExtremeWeights:

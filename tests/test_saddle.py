@@ -63,6 +63,13 @@ class TestSolveSaddle:
         sol_half = solve_model_saddle(model, c=0.5)
         assert sol_half.lambda_value(1) == pytest.approx(50.0, rel=1e-12)
 
+    def test_model_row_is_solved_once_and_shared_read_only(self):
+        model = ConstraintModel(n=100, alpha=10, theta=1.3)
+        sol = solve_model_saddle(model)
+        assert solve_model_saddle(ConstraintModel(n=100, alpha=10, theta=1.3)) is sol
+        assert sol.x == solve_saddle(WeightArray.constant(1.3, 10), 100.0).x
+        assert not sol.q.q.flags.writeable
+
 
 class TestMu:
     def test_frozen_value(self):
