@@ -62,6 +62,17 @@ range, or when an entry comes out zero although an earlier nonzero entry
 reaches it through an active weight. `egf_coefficients` answers such a
 failure by rerunning the row at its saddle tilt for N, where the table has
 the least dynamic range.
+
+The law of one count C_m needs no table of its own where mu_m is small. Under
+the conditioning relation (Arratia, Barbour & Tavare, Logarithmic
+Combinatorial Structures, EMS 2003) the factorial moments are
+E[(C_m)_c] = mu_m^c * h_(n-cm) x^(n-cm) / (h_n x^n), read off the model's
+table, and P[C_m = k] is their finite alternating sum over c >= k. That sum
+is taken only where mu_m <= ln(16)/2 and (n/m)^2 <= n, and kept only under a
+certificate: every k's sum is positive and at least 1/16 of the sum of its
+terms' magnitudes, so cancellation costs at most 16 times the terms'
+rounding. Elsewhere (the diverging regime, where mu_alpha grows with n) the
+law comes from the table g of the row without weight m, one DP.
 """
 
 from __future__ import annotations
@@ -69,10 +80,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import (
     ConstraintError,
@@ -97,6 +108,7 @@ _PANEL = 96  # blocks per panel on wide caps
 _PANEL_MIN_ALPHA = 4096  # narrower caps advance one block per panel
 _STRIP = 2**17  # doubles of a panel's windows copied per band (1 MiB)
 _FFT_C = 8.0  # c of the FFT certificate; measured errors stay below c/30 of its bound
+_KAPPA = 16.0  # largest cancellation the factorial-moment series of a law may show
 _RESCALE_HI = 2.0**256  # a block above this (or below its inverse) triggers a rescale
 _RESCALE_LO = 2.0**-256
 _TINY = np.finfo(float).tiny  # smallest normal double
@@ -666,30 +678,73 @@ def brute_force_distribution(model: ConstraintModel) -> Dict[CycleType, LogReal]
     return {t: LogReal(float(lw - logz)) for t, lw in zip(types, logw)}
 
 
-def cycle_count_distribution(model: ConstraintModel, m: int) -> np.ndarray:
-    """Exact log P[C_m = k] for k = 0..floor(n/m), via two coefficient tables.
+def _log_factorials(kmax: int) -> np.ndarray:
+    """log k! for k = 0..kmax, each from math.lgamma."""
+    return np.array(list(map(math.lgamma, range(1, kmax + 2))))
 
-    Splitting off the z^m term of the exponential gives
-    P[C_m = k] = (theta/m)^k / k! * g_(n-k*m) / h_n where g drops the m-th
-    weight; one g-table serves every k.
+
+def _count_law_by_moments(tm: TiltedModel, m: int) -> Optional[np.ndarray]:
+    """log P[C_m = k], k = 0..n//m, from the factorial moments, or None.
+
+    E[(C_m)_c] = mu_m^c * rho_cm with rho_s = h_(n-s) x^(n-s) / (h_n x^n), so
+    P[C_m = k] = sum_(c>=k) (-1)^(c-k) C(c, k) mu_m^c rho_cm / c!, a finite sum
+    (the moments vanish past n//m). Each k's terms are summed at their own
+    largest term's scale. The sum cancels by about e^(2 mu_m), so rows with
+    mu_m above ln(kappa)/2, and rows whose (n//m)^2 terms exceed n, are
+    refused before any work; the law is returned only where every k's sum is
+    positive and at least 1/kappa of the sum of its terms' absolute values,
+    so its rounding is at most kappa times that of the terms. None otherwise.
+    """
+    n = tm.model.n
+    kmax = n // m
+    mu_m = float(tm.mu[m - 1])
+    if not 0.0 < mu_m <= 0.5 * math.log(_KAPPA) or kmax * kmax > n:
+        return None
+    c = np.arange(kmax + 1)
+    lt = tm.table.log_tilted_values
+    log_a = c * math.log(mu_m) + (lt[n - c * m] - lt[n])  # log(mu_m^c * rho_cm)
+    log_fact = _log_factorials(kmax)
+    # Row k, column i: the term c = k + i without its 1/k!, i.e. a_c / i!.
+    padded = np.concatenate((log_a, np.full(kmax, NEG_INF)))
+    terms = sliding_window_view(padded, kmax + 1) - log_fact
+    shift = terms.max(axis=1)
+    with np.errstate(under="ignore"):
+        np.exp(terms - shift[:, None], out=terms)
+    signed = terms @ np.where(c % 2 == 0, 1.0, -1.0)
+    if not np.all((signed > 0.0) & (_KAPPA * signed >= terms.sum(axis=1))):
+        return None
+    return shift + np.log(signed) - log_fact
+
+
+def cycle_count_distribution(model: ConstraintModel, m: int) -> np.ndarray:
+    """Exact log P[C_m = k] for k = 0..floor(n/m).
+
+    Where mu_m is small and (n/m)^2 <= n, the law is the alternating sum of
+    the factorial moments E[(C_m)_c] = mu_m^c * h_(n-cm) x^(n-cm) / (h_n x^n),
+    read off the model's own table, and it is returned when its certificate
+    holds: each k's sum is at least 1/16 of the sum of its terms' magnitudes
+    (`_count_law_by_moments`). Otherwise, splitting off the z^m term of the
+    exponential gives P[C_m = k] = (theta/m)^k / k! * g_(n-k*m) / h_n where g
+    drops the m-th weight; one more table, the g-table, serves every k.
     """
     if not (1 <= m <= model.alpha):
         raise ConstraintError(f"m must satisfy 1 <= m <= alpha={model.alpha}, got {m}")
     tm = TiltedModel.for_model(model)
-    h = tm.table
-    g = egf_coefficients(WeightArray.for_model(model).replace(m, 0.0), model.n, tilt=tm.x)
+    law = _count_law_by_moments(tm, m)
+    if law is not None:
+        return law
+    row = WeightArray.for_model(model).replace(m, 0.0)
+    if row.is_degenerate:  # alpha = m = 1: the g-row is empty, so g_0 = 1 and g_k = 0 after
+        log_g = np.full(model.n + 1, NEG_INF)
+        log_g[0] = 0.0
+    else:
+        log_g = egf_coefficients(row, model.n, tilt=tm.x).log_tilted_values
     kmax = model.n // m
-    log_rate = math.log(model.theta / m)
-    out = np.empty(kmax + 1)
-    log_hn = h.log_coefficient(model.n)
-    for k in range(kmax + 1):
-        out[k] = (
-            k * log_rate
-            - math.lgamma(k + 1)
-            + g.log_coefficient(model.n - k * m)
-            - log_hn
-        )
-    return out
+    k = np.arange(kmax + 1)
+    r = model.n - k * m
+    log_g = log_g[r] - r * math.log(tm.x)  # g_(n-km) untilted, as CoefficientTable.log_coefficient
+    log_hn = tm.table.log_coefficient(model.n)
+    return k * math.log(model.theta / m) - _log_factorials(kmax) + log_g - log_hn
 
 
 def expected_cycle_count(model: ConstraintModel, m: int) -> float:
@@ -703,11 +758,21 @@ def expected_cycle_count(model: ConstraintModel, m: int) -> float:
 
 
 def longest_cycle_cdf(model: ConstraintModel, m: int) -> float:
-    """Exact P[longest cycle <= m] = h_n^(<=m) / h_n (both at the shared tilt)."""
+    """Exact P[longest cycle <= m] = h_n^(<=m) / h_n (both at the shared tilt).
+
+    m = alpha gives 1 with no table. m = alpha - 1 is P[C_alpha = 0], entry 0
+    of `cycle_count_distribution(model, alpha)`, and takes its path: the
+    factorial-moment series where it is certified, the g-table otherwise.
+    Narrower caps build the capped table h^(<=m).
+    """
     if not (0 <= m <= model.alpha):
         raise ConstraintError(f"m must satisfy 0 <= m <= alpha={model.alpha}, got {m}")
     if m == 0:
         return 0.0 if model.n > 0 else 1.0
+    if m == model.alpha:
+        return 1.0
+    if m == model.alpha - 1:
+        return math.exp(cycle_count_distribution(model, model.alpha)[0])
     tm = TiltedModel.for_model(model)
     capped = egf_coefficients(WeightArray.constant(model.theta, m), model.n, tilt=tm.x)
     return math.exp(capped.log_coefficient(model.n) - tm.table.log_coefficient(model.n))

@@ -191,3 +191,42 @@ def log_linear_dp_reference(logw: np.ndarray, N: int) -> np.ndarray:
     pos = G > 0.0
     out[pos] = np.log(G[pos]) + off[pos]
     return out
+
+
+@lru_cache(maxsize=8)
+def weighted_counts(n: int, weights: Tuple[int, ...]) -> List[int]:
+    """A_0..A_n with A_k = k! * [z^k] exp(sum_j weights[j-1] * z^j / j), in integers.
+
+    k*h_k = sum_j q_j*h_(k-j) becomes A_k = sum_j q_j * (k-1)!/(k-j)! * A_(k-j),
+    an integer for integer weights; the falling factorials are applied by
+    Horner's rule from the largest j down.
+    """
+    a = [1]
+    for k in range(1, n + 1):
+        total = 0
+        for j in range(min(len(weights), k), 0, -1):
+            total *= k - j
+            if weights[j - 1]:
+                total += weights[j - 1] * a[k - j]
+        a.append(total)
+    return a
+
+
+def cycle_count_law(n: int, alpha: int, theta: int, m: int) -> List[float]:
+    """P[C_m = k], k = 0..n//m, for integer theta, each correctly rounded.
+
+    P[C_m = k] = (theta/m)^k / k! * g_(n-km) / h_n, where g drops the weight
+    of length m: with B_k = k! g_k and A_k = k! h_k that is
+    theta^k n! B_(n-km) / (m^k k! (n-km)! A_n), a ratio of integers.
+    """
+    full = (theta,) * alpha
+    dropped = tuple(0 if j == m else theta for j in range(1, alpha + 1))
+    a_n = weighted_counts(n, full)[n]
+    b = weighted_counts(n, dropped)
+    law = []
+    for k in range(n // m + 1):
+        r = n - k * m
+        num = theta**k * math.factorial(n) * b[r]
+        den = m**k * math.factorial(k) * math.factorial(r) * a_n
+        law.append(num / den)
+    return law

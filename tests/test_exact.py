@@ -35,6 +35,7 @@ from cyclecap.saddle import solve_saddle
 from oracles import (
     conditioned_distribution,
     counts_prefix,
+    cycle_count_law,
     iter_prefix_support,
     log_linear_dp_reference,
     partition_constant,
@@ -617,7 +618,10 @@ class TestBruteForce:
 
 
 class TestCycleCountDistribution:
-    @pytest.mark.parametrize("n,alpha,theta,m", [(6, 3, 1.0, 2), (7, 4, 2.0, 1), (7, 7, 0.5, 7)])
+    @pytest.mark.parametrize(
+        "n,alpha,theta,m",
+        [(6, 3, 1.0, 2), (7, 4, 2.0, 1), (7, 7, 0.5, 7), (1, 1, 1.0, 1), (2, 1, 2.0, 1), (5, 1, 1.0, 1)],
+    )
     def test_matches_brute_force(self, n, alpha, theta, m):
         model = ConstraintModel(n=n, alpha=alpha, theta=theta)
         logpmf = cycle_count_distribution(model, m)
@@ -639,6 +643,82 @@ class TestCycleCountDistribution:
     def test_m_beyond_alpha_rejected(self):
         with pytest.raises(ConstraintError):
             cycle_count_distribution(ConstraintModel(n=10, alpha=3, theta=1.0), 4)
+
+    # (n, alpha, theta): critical (mu_alpha bounded), vanishing (mu_alpha -> 0)
+    # and diverging rows, so the factorial-moment series and the g-table both
+    # serve some of the laws; (1200, 45, 2) takes each path for some m.
+    @pytest.mark.parametrize(
+        "n,alpha,theta",
+        [(1200, 92, 1), (500, 55, 2), (300, 50, 3), (700, 262, 3), (1000, 10, 1), (600, 8, 2), (1200, 45, 2)],
+    )
+    def test_matches_integer_recurrence(self, n, alpha, theta):
+        model = ConstraintModel(n=n, alpha=alpha, theta=float(theta))
+        for m in sorted({math.isqrt(n - 1) + 1, alpha // 2, alpha} & set(range(1, alpha + 1))):
+            want = np.array(cycle_count_law(n, alpha, theta, m))
+            got = np.exp(cycle_count_distribution(model, m))
+            shown = want > 1e-290
+            assert got[shown] == pytest.approx(want[shown], rel=1e-12, abs=0.0), f"m = {m}"
+            if m == alpha:
+                assert longest_cycle_cdf(model, alpha - 1) == pytest.approx(want[0], rel=1e-12, abs=0.0)
+
+
+class TestCountLawPath:
+    """Which of the two paths a law of C_alpha takes, counted in table builds."""
+
+    @staticmethod
+    def counted_dp(monkeypatch):
+        calls = []
+        dp = exact._log_linear_dp
+
+        def counting_dp(logw, N):
+            calls.append(len(logw))
+            return dp(logw, N)
+
+        monkeypatch.setattr(exact, "_log_linear_dp", counting_dp)
+        return calls
+
+    @pytest.mark.parametrize("alpha", [123, 638])
+    def test_bounded_mu_reads_the_models_own_table(self, monkeypatch, alpha):
+        model = ConstraintModel(n=2000, alpha=alpha, theta=1.0)
+        partition_function(model)
+        calls = self.counted_dp(monkeypatch)
+        p = np.exp(cycle_count_distribution(model, alpha))
+        assert longest_cycle_cdf(model, alpha - 1) == pytest.approx(p[0], rel=1e-15)
+        assert longest_cycle_cdf(model, alpha) == 1.0
+        assert calls == []
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n,alpha", [(4, 2), (8, 3)])
+    def test_cancellation_past_kappa_builds_the_g_table(self, monkeypatch, n, alpha):
+        # mu_alpha = 1.22 and 1.31 pass the refusal, but some P[C_alpha = k]
+        # sums cancel by 25 and 20, past the certificate's 16.
+        model = ConstraintModel(n=n, alpha=alpha, theta=1.0)
+        assert TiltedModel.for_model(model).mu[-1] <= 0.5 * math.log(16) and (n // alpha) ** 2 <= n
+        calls = self.counted_dp(monkeypatch)
+        got = np.exp(cycle_count_distribution(model, alpha))
+        assert calls == [alpha]
+        expected = np.zeros(n // alpha + 1)
+        for part, p in conditioned_distribution(n, alpha, 1.0).items():
+            expected[counts_prefix(part, alpha)[alpha - 1]] += p
+        assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_diverging_mu_builds_the_g_table(self, monkeypatch):
+        n, alpha = 2000, 12
+        model = ConstraintModel(n=n, alpha=alpha, theta=1.0)
+        partition_function(model)
+        calls = self.counted_dp(monkeypatch)
+        law = cycle_count_distribution(model, alpha)
+        assert calls == [alpha]
+        assert longest_cycle_cdf(model, alpha) == 1.0
+        assert calls == [alpha]
+        tm = TiltedModel.for_model(model)
+        g = egf_coefficients(WeightArray.for_model(model).replace(alpha, 0.0), n, tilt=tm.x)
+        log_hn = tm.table.log_coefficient(n)
+        formula = [
+            k * math.log(1.0 / alpha) - math.lgamma(k + 1) + g.log_coefficient(n - k * alpha) - log_hn
+            for k in range(n // alpha + 1)
+        ]
+        assert np.array_equal(law, formula)
 
 
 class TestExpectedCycleCount:
