@@ -184,6 +184,8 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as e:
         raise ConfigError(f"{flag} expects comma-separated numbers: {e}")
+    if not values:
+        raise ConfigError(f"{flag} expects at least one number, got {text!r}")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"{flag} expects finite numbers, got {text!r}")
     return values
@@ -191,9 +193,12 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
 
 def _parse_int_list(text: str, flag: str) -> List[int]:
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        values = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as e:
         raise ConfigError(f"{flag} expects comma-separated integers: {e}")
+    if not values:
+        raise ConfigError(f"{flag} expects at least one integer, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------

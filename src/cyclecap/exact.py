@@ -30,24 +30,22 @@ sum cancels.
 On wide caps (alpha >= 4096) M takes 512 KiB or more, and one
 matrix-vector product per block reads all of it at memory speed. There the
 blocks advance in panels of P = 96, after van der Hoeven's relaxed
-multiplication ("Relax, but don't be too lazy", JSC 2002): at a panel's start
-the entries it will compute are still zero, so one matrix product of M with
-the panel's P shifted windows gives every block the terms of the
-coefficients older than the panel, and each block adds only those of the
-panel's earlier blocks, at most P*B columns of M. Narrower caps keep P = 1,
-one matrix-vector product per block.
+multiplication ("Relax, but don't be too lazy", JSC 2002): the terms that
+coefficients older than a panel carry into its blocks are a Toeplitz middle
+product of the weights with the panel's old window (Hanrot, Quercia &
+Zimmermann, "The middle product algorithm I", AAECC 2004), which one FFT of a
+5-smooth length gives in O(alpha log alpha) rather than P*B*alpha
+multiply-adds. Each block then adds only the terms of the panel's earlier
+blocks, at most P*B columns of M.
 
-Those older terms are a Toeplitz middle product of the weights with the
-panel's old window (Hanrot, Quercia & Zimmermann, "The middle product
-algorithm I", AAECC 2004), so one FFT of a 5-smooth length gives them in
-O(alpha log alpha) rather than P*B*alpha multiply-adds. Its rounding is
-relative to |w|*|u|, not to each output, so it is taken only under a
-certificate: every term is nonnegative, and the FFT's bound
+The FFT's rounding is relative to |w|*|u|, not to each output, so it is taken
+only under a certificate: every term is nonnegative, and the FFT's bound
 c*eps*log2(L)*|w|_2*|u|_2 must lie below alpha*eps*min_t y_t, the worst case
-of the alpha-term dot products it replaces. Windows with true zeros among the
-outputs, or spanning many orders, fail it (so does the first panel, whose
-window holds h_0 alone) and take the matrix product, the only path correct on
-them. With c = 8 the largest error measured uses under a thirtieth of the bound.
+of the alpha-term dot products it replaces. With c = 8 the largest error
+measured uses under a thirtieth of the bound. A panel that fails it (windows
+with true zeros among the outputs, or spanning many orders, and the first
+panel, whose window holds h_0 alone) runs its blocks as narrower caps run
+every block, one matrix-vector product each.
 
 Once per block, if the block leaves [2^-256, 2^256], the active window (the
 last alpha entries) is rescaled by a power of two, which is exact, together
@@ -83,7 +81,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConstraintError,
@@ -106,7 +104,6 @@ _BLOCK = 16  # indices advanced per Python step
 _CHUNK = 256  # blocks whose in-block inverses are built together
 _PANEL = 96  # blocks per panel on wide caps
 _PANEL_MIN_ALPHA = 4096  # narrower caps advance one block per panel
-_STRIP = 2**17  # doubles of a panel's windows copied per band (1 MiB)
 _FFT_C = 8.0  # c of the FFT certificate; measured errors stay below c/30 of its bound
 _KAPPA = 16.0  # largest cancellation the factorial-moment series of a law may show
 _RESCALE_HI = 2.0**256  # a block above this (or below its inverse) triggers a rescale
@@ -179,29 +176,6 @@ def _panel_blocks(alpha: int) -> int:
     return _PANEL if alpha >= _PANEL_MIN_ALPHA else 1
 
 
-def _older_terms(M: np.ndarray, buf: np.ndarray, K0: int, blocks: int, strip: np.ndarray) -> np.ndarray:
-    """Row c < blocks: M @ buf[K0 + c*B : K0 + c*B + alpha], as one matrix product.
-
-    Entries from the panel start K0 on must still be zero in buf (the caller
-    clears the previous block's total, kept in G_K0's slot), so row c holds
-    the terms that coefficients older than the panel carry into its block c.
-    The windows overlap, which BLAS cannot read in place, so they are copied
-    into `strip` a band of columns at a time.
-    """
-    B, alpha = M.shape
-    out = np.zeros((blocks, B))
-    step = buf.strides[0]
-    windows = as_strided(buf[K0:], (blocks, alpha), (B * step, step))
-    width = len(strip) // blocks
-    # Earlier columns meet only the zeros that stand for k < 0 in every window.
-    for s in range(max(alpha - K0 - (blocks - 1) * B, 0), alpha, width):
-        e = min(s + width, alpha)
-        W = strip[: blocks * (e - s)].reshape(blocks, e - s)
-        np.copyto(W, windows[:, s:e])
-        out += W @ M[:, s:e].T
-    return out
-
-
 def _smooth_length(n: int) -> int:
     """The least L >= n of the form 2^a 3^b 5^c, a length pocketfft transforms fast."""
     best = 1 << max(n - 1, 0).bit_length()
@@ -221,10 +195,12 @@ def _smooth_length(n: int) -> int:
 class _MiddleProduct:
     """A panel's older terms from one FFT middle product, where it is certified.
 
-    Row c of `_older_terms` is y[c*B : (c+1)*B] for the middle product
-    y_t = sum_s w_{alpha+t-s} u_s = (w * u)_{alpha-1+t} of the weights with the
-    panel's old window u = buf[K0 : K0+alpha]. One cyclic convolution of length
-    L >= alpha + outputs - 1 gives every output used without wrap-around.
+    The panel's old window u = buf[K0 : K0+alpha] holds the alpha coefficients
+    before the panel. The middle product y_t = sum_s w_{alpha+t-s} u_s =
+    (w * u)_{alpha-1+t}, with w_j = 0 past alpha, is the sum of the terms they
+    carry into index K0+t, so y[c*B : (c+1)*B] is their share of the panel's
+    block c. One cyclic convolution of length L >= alpha + outputs - 1 gives
+    every output used without wrap-around.
     """
 
     def __init__(self, w: np.ndarray, outputs: int):
@@ -244,7 +220,7 @@ class _MiddleProduct:
         return _FFT_C * _EPS * math.log2(self.L) * norms
 
     def older_terms(self, buf: np.ndarray, K0: int, blocks: int):
-        """Rows c < blocks of `_older_terms`, or None where the certificate fails.
+        """y as `blocks` rows of B, or None where the certificate fails.
 
         An alpha-term dot product of nonnegative terms is off by at most
         alpha*eps times its value; the FFT result is taken only when its
@@ -280,32 +256,26 @@ def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
     # block be full length.
     buf = np.zeros(alpha + N + B + 1)
     buf[alpha] = 1.0
-    strip = np.empty(_STRIP if P > 1 else 0)
     events = []  # (first k rescaled, cumulative power of two) per rescale
     exponent = 0
+    R = None  # the current panel's certified older terms, one row per block
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         fft = _MiddleProduct(w, P * B) if P > 1 else None
         for c0 in range(1, N + 1, B * _CHUNK):
             starts = np.arange(c0, min(c0 + B * _CHUNK, N + 1), B)
             for inv, K in zip(_block_inverses(w_head, starts), starts.tolist()):
                 end = K + alpha + B
-                if P == 1:
-                    if K < alpha:  # only the last K columns meet computed entries
-                        r = M[:, alpha - K :] @ buf[alpha : K + alpha]
-                    else:
-                        r = M @ buf[K : K + alpha]
-                else:
+                if fft is not None:
                     c = (K - 1) // B % P  # the block's place in its panel
                     if c == 0:
-                        buf[K + alpha] = 0.0  # the previous block's total, in G_K's slot
-                        blocks = min(P, (N - K) // B + 1)
-                        R = fft.older_terms(buf, K, blocks)
-                        if R is None:
-                            R = _older_terms(M, buf, K, blocks, strip)
-                        r = R[0]
-                    else:  # add the terms from the panel's own earlier blocks
-                        q0 = max(alpha - c * B, 0)
-                        r = R[c] + M[:, q0:] @ buf[K + q0 : K + alpha]
+                        R = fft.older_terms(buf, K, min(P, (N - K) // B + 1))
+                if R is not None:  # add the terms from the panel's own earlier blocks
+                    q0 = max(alpha - c * B, 0)
+                    r = R[c] + M[:, q0:] @ buf[K + q0 : K + alpha]
+                elif K < alpha:  # only the last K columns meet computed entries
+                    r = M[:, alpha - K :] @ buf[alpha : K + alpha]
+                else:
+                    r = M @ buf[K : K + alpha]
                 np.dot(inv, r, out=buf[end - B : end + 1])
                 total = buf[end]
                 if _RESCALE_LO <= total <= _RESCALE_HI:
@@ -328,7 +298,7 @@ def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
                 if small.any() and np.any(window[small] > 0.0):
                     raise NumericalError("the DP window spans more than double range")
                 np.ldexp(window, -e, out=window)
-                if P > 1:
+                if R is not None:
                     # The panel's later rows were summed at the old scale. A row
                     # pushed below normal is off by under 2^-1074, less than an
                     # ulp of the normal entries it feeds; those stay guarded.

@@ -57,6 +57,7 @@ from .exact import cycle_count_distribution, expected_cycle_count
 from .model import ConstraintModel, CycleType
 from .saddle import mu, regime_report, solve_model_saddle
 from .saddle import mu_alpha_of  # noqa: F401  (perfbench/tests check the tracer rebinds it here)
+from .sampler import sample_lengths
 
 _SIGNIFICANCE = 0.001
 _MIN_EXPECTED = 5.0
@@ -625,7 +626,6 @@ def clt_battery(
     from scipy import special
 
     from ._kolmogorov import ks_two_sided
-    from .sampler import sample_lengths  # deferred: sampler imports exact
 
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")

@@ -125,8 +125,8 @@ def solve_saddle(q: WeightArray, n: float) -> SaddleSolution:
     """Unique positive root of sum_j q_j x^j = n, relative residual <= 1e-12."""
     if q.is_degenerate:
         raise DegenerateWeightsError("all weights are zero")
-    if not (n > 0):
-        raise NumericalError(f"saddle target must be positive, got {n}")
+    if not (0 < n < math.inf):
+        raise DomainError(f"saddle target must be positive and finite, got {n}")
     mask = q.q > 0
     j = np.nonzero(mask)[0].astype(float) + 1.0
     logq = np.log(q.q[mask])

@@ -56,6 +56,10 @@ class TestExitCodes:
     def test_infinite_theta_is_config_error(self, capsys):
         assert run(["partition", "--n", "10", "--alpha", "3", "--theta", "inf"]) == 2
 
+    @pytest.mark.parametrize("c", ["0", "-1", "nan", "inf"])
+    def test_saddle_target_outside_0_inf_is_config_error(self, capsys, c):
+        assert run(["saddle", "--n", "1000", "--alpha", "30", "--c", c]) == 2
+
     def test_regime_guard_exits_four(self, capsys):
         # alpha = 95 at n = 2000 is critical; the diverging battery refuses
         code = run(
@@ -212,7 +216,7 @@ class TestDeterminism:
 
 
 class TestNonFiniteListFlags:
-    """nan and inf in --grid, --s-grid and --triple are configuration errors."""
+    """nan, inf and empty lists in the list flags are configuration errors."""
 
     @pytest.mark.parametrize("grid", ["nan", "1,inf"])
     def test_sample_process_grid(self, capsys, grid):
@@ -237,6 +241,24 @@ class TestNonFiniteListFlags:
         argv = [
             "limits", "--n", "2000", "--alpha", "639", "--check", "tightness",
             "--samples", "20", "--seed", "1", "--triple", triple,
+        ]
+        assert run(argv) == 2
+
+    @pytest.mark.parametrize("lists", [["--m-list", ","], ["--m-list", "10", "--s-grid", ","]])
+    def test_clt_empty_list(self, capsys, lists):
+        assert run(["clt", "--n", "2000", "--alpha", "12", *lists]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_limits_clt_empty_m_list_draws_nothing(self, capsys, monkeypatch):
+        from cyclecap import cli
+
+        def no_draw(*args):
+            raise AssertionError("drew samples before parsing --m-list")
+
+        monkeypatch.setattr(cli, "sample_lengths", no_draw)
+        argv = [
+            "limits", "--n", "2000", "--alpha", "12", "--check", "clt",
+            "--m-list", ",", "--samples", "10", "--seed", "1",
         ]
         assert run(argv) == 2
 

@@ -233,7 +233,7 @@ class TestBlockedKernel:
 
 @pytest.fixture
 def fft_verdicts(monkeypatch):
-    """Whether each panel's FFT middle product was certified (True) or fell back."""
+    """Whether each panel's FFT middle product was certified (True) or not (False)."""
     verdicts = []
     certified = exact._MiddleProduct.older_terms
 
@@ -247,7 +247,11 @@ def fft_verdicts(monkeypatch):
 
 
 class TestPanelKernel:
-    """Caps from _PANEL_MIN_ALPHA on advance a panel of blocks per matrix product."""
+    """Caps from _PANEL_MIN_ALPHA on take a panel's older terms from one certified FFT.
+
+    A panel whose FFT product is not certified runs its blocks as narrow caps
+    do, one matrix-vector product per block.
+    """
 
     def test_narrow_caps_run_one_block_per_panel(self):
         assert all(exact._panel_blocks(alpha) == 1 for alpha in range(1, 1073))
@@ -281,6 +285,16 @@ class TestPanelKernel:
         assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
         # Each window spans e^(0.02*alpha) = e^82, so no FFT product is certified.
         assert False in fft_verdicts
+
+    @pytest.mark.parametrize("slope", [0.02, -0.02])
+    def test_uncertified_panels_take_the_narrow_kernels_product(self, monkeypatch, slope, fft_verdicts):
+        alpha, N = exact._PANEL_MIN_ALPHA, 30000
+        logw = slope * np.arange(1, alpha + 1)
+        panelled = exact._log_linear_dp(logw, N)
+        # No window is certified here, so every block takes a narrow cap's product.
+        assert fft_verdicts and not any(fft_verdicts)
+        monkeypatch.setattr(exact, "_panel_blocks", lambda alpha: 1)
+        assert np.array_equal(panelled, exact._log_linear_dp(logw, N))
 
     def test_panel_rows_below_normal_after_a_rescale(self, fft_verdicts):
         # Weights past 1000 are subnormal, so the later rows of a panel, which

@@ -58,6 +58,16 @@ class TestSolveSaddle:
         j = np.arange(1, 5)
         assert float((q.q * sol.x**j).sum()) == pytest.approx(40.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf])
+    def test_target_outside_0_inf_is_a_domain_error(self, n):
+        with pytest.raises(DomainError):
+            solve_saddle(WeightArray.constant(1.0, 30), n)
+
+    def test_tiny_positive_target_still_solves(self):
+        model = ConstraintModel(n=1000, alpha=30, theta=1.0)
+        sol = solve_model_saddle(model, c=1e-300)
+        assert sol.lambda_value(1) == pytest.approx(1e-297, rel=1e-12)
+
     def test_c_multiplier(self):
         model = ConstraintModel(n=100, alpha=10, theta=1.0)
         sol_half = solve_model_saddle(model, c=0.5)
