@@ -44,14 +44,12 @@ from .limits import (
     CriticalTable,
     ProcessBatteryReport,
     TightnessEstimate,
-    build_process,
     check_longest_critical,
     check_longest_diverging,
     clt_battery,
     d_cutoff,
     exact_standardized_ks,
     gamma_floor_pmf,
-    longest_k,
     poisson_process_battery,
     tightness_moment_estimate,
     tightness_scaling_check,
@@ -96,7 +94,7 @@ from .sampler import (
     sample_type_array,
 )
 
-__version__ = "0.1.2"
+__version__ = "0.1.3"
 
 __all__ = [
     "__version__",
@@ -166,9 +164,7 @@ __all__ = [
     "sample_lengths",
     "sample_type_array",
     # limits
-    "longest_k",
     "d_cutoff",
-    "build_process",
     "gamma_floor_pmf",
     "check_longest_diverging",
     "CriticalTable",

@@ -40,9 +40,9 @@ from .exact import (
     partition_function,
 )
 from .limits import (
+    _counts_longer,
     _cutoffs,
     _flatten,
-    _process_counts,
     _top_lengths,
     _validated_grid,
     check_longest_critical,
@@ -262,7 +262,8 @@ def _cmd_sample(args) -> int:
         rows = [(i, *top) for i, top in enumerate(_top_lengths(*_flatten(batch), len(batch), 3))]
         _emit_csv(args, ("index", "ell1", "ell2", "ell3"), rows, with_rng=True)
     else:  # process
-        rows = [(i, *counts) for i, counts in enumerate(_process_counts(batch, d))]
+        counts = _counts_longer(*_flatten(batch), len(batch), d)
+        rows = [(i, *row) for i, row in enumerate(counts)]
         _emit_csv(
             args,
             ("index", *(f"P_{t:g}" for t in grid)),
@@ -277,7 +278,7 @@ def _cmd_tvd(args) -> int:
     if args.b is None:
         raise ConfigError("--b is required")
     report = exact_tv_distance(model, args.b)
-    _emit_json(args, report.to_json())
+    _emit_json(args, dataclasses.asdict(report))
     return 0
 
 

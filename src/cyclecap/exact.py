@@ -572,18 +572,6 @@ class TVReport:
     b: int
     tv: float
     terms_summed: int
-    model: ConstraintModel
-    mu_used: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.model.n,
-            "alpha": self.model.alpha,
-            "theta": self.model.theta,
-            "b": self.b,
-            "tv": self.tv,
-            "terms_summed": self.terms_summed,
-        }
 
 
 def exact_tv_distance(model: ConstraintModel, b: int) -> TVReport:
@@ -595,10 +583,10 @@ def exact_tv_distance(model: ConstraintModel, b: int) -> TVReport:
     """
     if not (0 <= b <= model.alpha):
         raise ConstraintError(f"need 0 <= b <= alpha={model.alpha}, got b={b}")
+    if b == 0:
+        return TVReport(b=0, tv=0.0, terms_summed=0)
     tm = TiltedModel.for_model(model)
     mu = tm.mu
-    if b == 0:
-        return TVReport(b=0, tv=0.0, terms_summed=0, model=model, mu_used=mu[:0])
     n = model.n
     head = compound_poisson_pmf(mu[:b], n)
     rest = compound_poisson_pmf(mu[b:], n, first_index=b + 1)
@@ -607,13 +595,7 @@ def exact_tv_distance(model: ConstraintModel, b: int) -> TVReport:
     clamp = np.clip(1.0 - ratio, 0.0, 1.0)
     with np.errstate(under="ignore"):
         tv = float(np.dot(np.exp(head.log_pmf_values), clamp)) + head.tail_mass
-    return TVReport(
-        b=b,
-        tv=min(max(tv, 0.0), 1.0),
-        terms_summed=n + 1,
-        model=model,
-        mu_used=mu[:b],
-    )
+    return TVReport(b=b, tv=min(max(tv, 0.0), 1.0), terms_summed=n + 1)
 
 
 def chernoff_tail_bound(means: MeansLike, rho: float) -> LogReal:
@@ -755,16 +737,26 @@ def mgf_Cm(model: ConstraintModel, m: int, s: float, mode: str = "exact") -> flo
             both at the unperturbed tilt so they share one scale.
     approx: ratio of the two leading saddle-point terms (s >= 0, matching the
             regime the approximation is proved in).
+
+    Raises NumericalError where theta e^s or the returned ratio exceeds
+    double range.
     """
-    q_pert = _perturbed_row(model, m, math.exp(s))
+    q_pert = _perturbed_row(model, m, s)
     if mode == "exact":
         tm = TiltedModel.for_model(model)
         num = egf_coefficients(q_pert, model.n, tilt=tm.x).log_tilted(model.n)
-        return math.exp(num - tm.table.log_tilted(model.n))
-    if mode == "approx":
+        log_ratio = num - tm.table.log_tilted(model.n)
+    elif mode == "approx":
         if s < 0:
             raise ConstraintError("approx mode is stated for s >= 0")
         num = saddle_point_coefficient(q_pert, model.n)
         den = saddle_point_coefficient(WeightArray.for_model(model), model.n)
-        return math.exp(num.logval - den.logval)
-    raise ConstraintError(f"unknown mgf mode {mode!r}")
+        log_ratio = num.logval - den.logval
+    else:
+        raise ConstraintError(f"unknown mgf mode {mode!r}")
+    try:
+        return math.exp(log_ratio)
+    except OverflowError:
+        raise NumericalError(
+            f"E[exp(s C_{m})] = e^{log_ratio:.6g} exceeds double range at s = {s}"
+        ) from None

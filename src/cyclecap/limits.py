@@ -64,36 +64,13 @@ _MIN_EXPECTED = 5.0
 
 
 # ---------------------------------------------------------------------------
-# longest-cycle vectors and the counting process
-
-
-@dataclass(frozen=True)
-class LongestVector:
-    """ell_1 >= ... >= ell_K; ell_k = 0 when the sample has fewer than k cycles."""
-
-    ell: np.ndarray
-    K: int
+# batch top-K and the counting process
 
 
 def _as_lengths(sample) -> np.ndarray:
     if isinstance(sample, CycleType):
         return sample.lengths()
     return np.asarray(sample)
-
-
-def _top_k(lengths: np.ndarray, K: int) -> np.ndarray:
-    out = np.zeros(K, dtype=np.int64)
-    k = min(K, len(lengths))
-    if k:
-        out[:k] = np.sort(lengths)[::-1][:k]
-    return out
-
-
-def longest_k(t: CycleType, K: int) -> LongestVector:
-    """The K largest cycle lengths (with multiplicity), zero-padded."""
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
-    return LongestVector(ell=_top_k(t.lengths(), K), K=K)
 
 
 def d_cutoff(t: float, mu_alpha: float, alpha: int) -> int:
@@ -103,15 +80,6 @@ def d_cutoff(t: float, mu_alpha: float, alpha: int) -> int:
     if not (mu_alpha > 0):
         raise DomainError(f"mu_alpha must be positive, got {mu_alpha}")
     return max(alpha - int(math.floor(t / mu_alpha)), 0)
-
-
-@dataclass(frozen=True)
-class ProcessPath:
-    """P_t = #cycles with length in (d_t, alpha] along one grid, one sample."""
-
-    grid: np.ndarray
-    counts: np.ndarray
-    d_values: np.ndarray
 
 
 def _validated_grid(grid) -> np.ndarray:
@@ -186,22 +154,6 @@ def _counts_longer(owner: np.ndarray, flat: np.ndarray, count: int, d: np.ndarra
     for col, dv in enumerate(d):
         counts[:, col] = np.bincount(owner[flat > dv], minlength=count)
     return counts
-
-
-def _process_counts(samples: Sequence, d: np.ndarray) -> np.ndarray:
-    """_counts_longer over a batch of samples."""
-    return _counts_longer(*_flatten(samples), len(samples), d)
-
-
-def build_process(sample, model: ConstraintModel, mu_alpha: float, grid) -> ProcessPath:
-    """Evaluate the long-cycle counting process of one sample on a time grid.
-
-    The sample is a CycleType or an array of its cycle lengths.
-    """
-    g = _validated_grid(grid)
-    d = _cutoffs(g, mu_alpha, model.alpha)
-    counts = _counts_longer(*_checked_flatten([sample], model), 1, d)[0]
-    return ProcessPath(grid=g, counts=counts, d_values=d)
 
 
 def gamma_floor_pmf(k: int, mu_value: float, d: int) -> float:

@@ -27,9 +27,6 @@ import numpy as np
 from .errors import ConfigError, StructuralError
 from .numerics import LogReal
 
-# Cycle types store a dense counts vector up to this n, a sparse dict above.
-DENSE_TYPE_MAX_N = 100_000
-
 # Guard against floor(n^beta) landing one below an exact integer power due to
 # float rounding (e.g. 1e5**0.6 = 999.999...).
 _FLOOR_EPS = 1e-9
@@ -154,40 +151,31 @@ class WeightArray:
 class CycleType:
     """Multiplicity vector (c_1, ..., c_n) of cycle lengths, sum j*c_j = n.
 
-    Dense numpy storage for n <= DENSE_TYPE_MAX_N, dict-backed sparse above.
-    Hashable; the canonical key is the sorted tuple of (length, count) pairs.
+    Stored as the sorted tuple of nonzero (length, count) pairs, which is also
+    the canonical key. Hashable.
     """
 
-    __slots__ = ("n", "_dense", "_sparse", "_key")
+    __slots__ = ("n", "_key")
 
     def __init__(self, n: int, counts=None, pairs=None, validate: bool = True):
         self.n = int(n)
-        self._dense = None
-        self._sparse = None
         if counts is not None:
             dense = np.asarray(counts, dtype=np.int64)
             if len(dense) != self.n:
                 raise StructuralError(f"counts vector must have length n={self.n}")
-            self._dense = dense
-        elif pairs is not None:
-            if isinstance(pairs, Mapping):
-                pairs = pairs.items()
-            self._sparse = {int(j): int(c) for j, c in pairs if c}
-            if self.n <= DENSE_TYPE_MAX_N:
-                dense = np.zeros(self.n, dtype=np.int64)
-                for j, c in self._sparse.items():
-                    dense[j - 1] = c
-                self._dense = dense
-                self._sparse = None
-        else:
+            idx = np.flatnonzero(dense)
+            pairs = zip((idx + 1).tolist(), dense[idx].tolist())
+        elif pairs is None:
             raise StructuralError("CycleType needs counts or pairs")
+        elif isinstance(pairs, Mapping):
+            pairs = pairs.items()
+        self._key = tuple(sorted({int(j): int(c) for j, c in pairs if c}.items()))
         if validate:
-            total = sum(j * c for j, c in self.items())
+            total = sum(j * c for j, c in self._key)
             if total != self.n:
                 raise StructuralError(f"sum j*c_j = {total} != n = {self.n}")
-            if any(c < 0 for _, c in self.items()) or any(j < 1 or j > self.n for j, _ in self.items()):
+            if any(c < 0 or j < 1 or j > self.n for j, c in self._key):
                 raise StructuralError("cycle type entries out of range")
-        self._key = tuple(sorted(self.items()))
 
     @classmethod
     def from_parts(cls, parts, n: Optional[int] = None) -> "CycleType":
@@ -205,29 +193,20 @@ class CycleType:
         return cls(n, pairs=zip(js.tolist(), cs.tolist()))
 
     def count(self, j: int) -> int:
-        if self._dense is not None:
-            return int(self._dense[j - 1]) if 1 <= j <= self.n else 0
-        return self._sparse.get(j, 0)
+        return dict(self._key).get(j, 0)
 
     def items(self) -> Iterator[tuple]:
         """Nonzero (length, count) pairs in increasing length order."""
-        if self._dense is not None:
-            idx = np.nonzero(self._dense)[0]
-            return ((int(j + 1), int(self._dense[j])) for j in idx)
-        return iter(sorted(self._sparse.items()))
+        return iter(self._key)
 
     def lengths(self) -> np.ndarray:
         """Cycle lengths with multiplicity, ascending."""
-        out = []
-        for j, c in self.items():
-            out.extend([j] * c)
-        return np.asarray(out, dtype=np.int64)
+        js = np.array([j for j, _ in self._key], dtype=np.int64)
+        return np.repeat(js, [c for _, c in self._key])
 
     def to_dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense.copy()
         dense = np.zeros(self.n, dtype=np.int64)
-        for j, c in self._sparse.items():
+        for j, c in self._key:
             dense[j - 1] = c
         return dense
 

@@ -8,9 +8,7 @@ sentinel, because total-variation formulas take exact (.)_+ clamps).
 
 Precision envelope: log_sum_exp uses a max shift plus numpy's pairwise
 summation, giving relative error ~1e-15 per reduction and bit-identical output
-for identical input order; log_falling_factorial is exact to ~1e-15 relative
-via direct log summation for k <= 65536 and to better than 1e-12 for n <= 1e7
-via the log-gamma difference beyond that.
+for identical input order.
 """
 
 from __future__ import annotations
@@ -23,11 +21,6 @@ import numpy as np
 from .errors import DomainError
 
 NEG_INF = float("-inf")
-
-# Below this k the falling factorial is summed term by term; above it the
-# lgamma difference is already accurate to ~1e-13 relative (the result exceeds
-# k*log(n-k+1) while the lgamma rounding error stays a few ulp of lgamma(n+1)).
-_DIRECT_SUM_MAX_K = 65536
 
 
 @dataclass(frozen=True)
@@ -110,16 +103,3 @@ def log_sum_exp_value(a: np.ndarray) -> float:
         return m
     return m + math.log(float(np.sum(np.exp(a - m))))
 
-
-def log_falling_factorial(n: int, k: int) -> LogReal:
-    """log(n * (n-1) * ... * (n-k+1)) for integers 0 <= k <= n."""
-    if k < 0 or n < 0:
-        raise DomainError(f"log_falling_factorial needs n, k >= 0, got ({n}, {k})")
-    if k > n:
-        raise DomainError(f"log_falling_factorial needs k <= n, got ({n}, {k})")
-    if k == 0:
-        return LogReal(0.0)
-    if k <= _DIRECT_SUM_MAX_K:
-        factors = np.arange(n, n - k, -1, dtype=float)
-        return LogReal(float(np.sum(np.log(factors))))
-    return LogReal(math.lgamma(n + 1) - math.lgamma(n - k + 1))

@@ -67,10 +67,6 @@ class SaddleSolution:
     def lambda_value(self, p: int) -> float:
         return math.exp(self.log_lambdas[p])
 
-    @property
-    def lambdas(self) -> tuple:
-        return tuple(LogReal(v) for v in self.log_lambdas)
-
 
 @dataclass(frozen=True)
 class RegimeReport:
@@ -408,10 +404,17 @@ def saddle_point_coefficient(q: WeightArray, n: int, f: Optional[FunctionProbe] 
     return LogReal(logval)
 
 
-def _perturbed_row(model: ConstraintModel, m: int, factor: float) -> WeightArray:
+def _perturbed_row(model: ConstraintModel, m: int, log_factor: float) -> WeightArray:
+    """The model's row with q_m = theta * e^log_factor; NumericalError past double range."""
     if not (1 <= m <= model.alpha):
         raise ConstraintError(f"m must satisfy 1 <= m <= alpha={model.alpha}, got {m}")
-    return WeightArray.for_model(model).replace(m, model.theta * factor)
+    try:
+        q_m = model.theta * math.exp(log_factor)
+    except OverflowError:
+        q_m = math.inf
+    if q_m == math.inf:
+        raise NumericalError(f"q_{m} = theta * e^{log_factor:.6g} exceeds double range")
+    return WeightArray.for_model(model).replace(m, q_m)
 
 
 @dataclass(frozen=True)
@@ -444,14 +447,15 @@ def clt_h_calculus(model: ConstraintModel, m: int, s: float) -> HCalculus:
 
     mu = mu_m is fixed at the unperturbed (s = 0) tilt. Negative s is accepted
     (the equation stays well-posed); the limit statements hold for s >= 0.
-    A non-finite s is refused with DomainError.
+    A non-finite s is refused with DomainError, and an s whose perturbed
+    weight theta e^(s/sqrt(mu)) exceeds double range with NumericalError.
     """
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s}")
     base = solve_model_saddle(model)
     mu_m = mu(base, model.theta, m)
     sqrt_mu = math.sqrt(mu_m)
-    q_pert = _perturbed_row(model, m, math.exp(s / sqrt_mu))
+    q_pert = _perturbed_row(model, m, s / sqrt_mu)
     try:
         sol = solve_saddle(q_pert, float(model.n))
     except NumericalError as e:
@@ -459,7 +463,7 @@ def clt_h_calculus(model: ConstraintModel, m: int, s: float) -> HCalculus:
     x = sol.x
     lambda2 = sol.lambda_value(2)
     lambda3 = sol.lambda_value(3)
-    e_term = model.theta * math.exp(s / sqrt_mu) * x**m
+    e_term = float(q_pert.q[m - 1]) * x**m
     h = math.exp(sol.log_lambdas[0]) - model.n * math.log(x)
     h1 = e_term / (m * sqrt_mu)
     h2 = h1 / sqrt_mu - (m**2) * h1**2 / lambda2

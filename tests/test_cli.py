@@ -13,6 +13,7 @@ import pytest
 import cyclecap
 from cyclecap import __version__
 from cyclecap.cli import run
+from cyclecap.exact import TVReport
 from cyclecap.limits import (
     CLTEntry,
     CLTReport,
@@ -59,6 +60,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("c", ["0", "-1", "nan", "inf"])
     def test_saddle_target_outside_0_inf_is_config_error(self, capsys, c):
         assert run(["saddle", "--n", "1000", "--alpha", "30", "--c", c]) == 2
+
+    def test_weight_past_double_range_exits_three(self, capsys):
+        argv = ["clt", "--n", "2000", "--alpha", "12", "--m-list", "10", "--s-grid", "10000"]
+        assert run(argv) == 3
 
     def test_regime_guard_exits_four(self, capsys):
         # alpha = 95 at n = 2000 is critical; the diverging battery refuses
@@ -149,10 +154,12 @@ class TestArtifacts:
     def test_tvd_fields(self, capsys):
         code, out = run_capture(["tvd", "--n", "20", "--alpha", "6", "--b", "2"], capsys)
         assert code == 0
-        r = json.loads(out)["result"]
+        doc = json.loads(out)
+        assert doc["config"]["n"] == 20 and doc["config"]["alpha"] == 6
+        r = doc["result"]
+        assert set(r) == _fields(TVReport)
         assert 0.0 <= r["tv"] <= 1.0
-        assert r["b"] == 2 and r["n"] == 20 and r["alpha"] == 6
-        assert r["terms_summed"] >= 1
+        assert r["b"] == 2 and r["terms_summed"] == 21
 
     def test_spcheck_ratio(self, capsys):
         code, out = run_capture(["spcheck", "--n", "1000", "--alpha", "63"], capsys)
@@ -441,6 +448,12 @@ class TestReportContract:
         assert code == 0
         limits = json.loads(out)["result"]
         assert battery == {k: v for k, v in limits.items() if k not in ("check", "regime")}
+
+
+def test_all_names_are_attributes_listed_once():
+    names = cyclecap.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(cyclecap, name)] == []
 
 
 def test_pyproject_version_matches_package():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -570,9 +571,11 @@ class TestExactTV:
         model = ConstraintModel(n=64, alpha=16, theta=1.0)
         report = exact_tv_distance(model, 4)
         assert 0.0 <= report.tv <= 1.0
-        js = report.to_json()
-        assert js["n"] == 64 and js["alpha"] == 16 and js["b"] == 4
-        assert js["tv"] == report.tv
+        assert dataclasses.asdict(report) == {
+            "b": 4,
+            "tv": report.tv,
+            "terms_summed": 65,
+        }
 
     def test_full_prefix_b_equals_alpha(self):
         # b = alpha: TV between the whole conditioned vector and the product law

@@ -7,12 +7,12 @@ from scipy import special, stats
 from cyclecap.errors import DomainError, RegimeError
 from cyclecap.exact import cycle_count_distribution
 from cyclecap.limits import (
+    _checked_flatten,
+    _counts_longer,
+    _cutoffs,
     _flatten,
     _poisson_chisquare,
-    _process_counts,
-    _top_k,
     _top_lengths,
-    build_process,
     check_longest_critical,
     check_longest_diverging,
     clt_battery,
@@ -20,7 +20,6 @@ from cyclecap.limits import (
     discrete_ks_to_normal,
     exact_standardized_ks,
     gamma_floor_pmf,
-    longest_k,
     poisson_process_battery,
     tightness_moment_estimate,
     tightness_scaling_check,
@@ -44,17 +43,6 @@ def critical_samples():
 @pytest.fixture(scope="module")
 def vanishing_samples():
     return sample_lengths(VANISHING, 3000, seed=7)
-
-
-class TestLongestK:
-    def test_top_values_padded(self):
-        t = CycleType.from_lengths([5, 5, 3, 1])
-        assert longest_k(t, 3).ell.tolist() == [5, 5, 3]
-        assert longest_k(t, 6).ell.tolist() == [5, 5, 3, 1, 0, 0]
-
-    def test_invalid_k(self):
-        with pytest.raises(DomainError):
-            longest_k(CycleType.from_lengths([2, 1]), 0)
 
 
 class TestDCutoff:
@@ -81,44 +69,45 @@ class TestDCutoff:
 
 
 class TestBuildProcess:
+    """The counting process P_t of a batch: cutoffs d_t, then one count per cutoff."""
+
     def test_counts_match_hand_computation(self):
         model = ConstraintModel(n=12, alpha=5, theta=1.0)
-        t = CycleType.from_lengths([5, 4, 3])
-        path = build_process(t, model, 0.5, [0.5, 1.0, 1.5])
-        assert path.d_values.tolist() == [4, 3, 2]
-        assert path.counts.tolist() == [1, 2, 3]
+        d = _cutoffs(np.array([0.5, 1.0, 1.5]), 0.5, model.alpha)
+        assert d.tolist() == [4, 3, 2]
+        batch = [CycleType.from_lengths([5, 4, 3])]
+        assert _counts_longer(*_checked_flatten(batch, model), 1, d).tolist() == [[1, 2, 3]]
 
     def test_counts_nondecreasing(self, vanishing_samples):
-        grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-        mu_a = mu_alpha_of(VANISHING)
-        for s in vanishing_samples[:40]:
-            path = build_process(CycleType.from_lengths(s), VANISHING, mu_a, grid)
-            assert np.all(np.diff(path.counts) >= 0)
-            assert np.all(np.diff(path.d_values) <= 0)
+        grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+        d = _cutoffs(grid, mu_alpha_of(VANISHING), VANISHING.alpha)
+        assert np.all(np.diff(d) <= 0)
+        batch = vanishing_samples[:40]
+        counts = _counts_longer(*_checked_flatten(batch, VANISHING), len(batch), d)
+        assert np.all(np.diff(counts, axis=1) >= 0)
 
+    # The battery validates its grid before it classifies the model or reads a sample.
     @pytest.mark.parametrize("grid", [[], [1.0, 1.0], [2.0, 1.0], [-1.0, 2.0]])
     def test_bad_grids(self, grid):
-        model = ConstraintModel(n=6, alpha=3, theta=1.0)
-        with pytest.raises(DomainError):
-            build_process(CycleType.from_lengths([3, 3]), model, 0.5, grid)
+        with pytest.raises(DomainError, match="grid"):
+            poisson_process_battery([], CRITICAL, grid)
 
     @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [1.0, math.inf]])
     def test_non_finite_grids(self, grid):
-        model = ConstraintModel(n=6, alpha=3, theta=1.0)
-        with pytest.raises(DomainError):
-            build_process(CycleType.from_lengths([3, 3]), model, 0.5, grid)
+        with pytest.raises(DomainError, match="grid"):
+            poisson_process_battery([], CRITICAL, grid)
 
     def test_batch_counts_match_per_sample_counts(self, vanishing_samples):
         # CycleTypes, length arrays and an empty sample mixed in one batch
         batch = [CycleType.from_lengths(vanishing_samples[0]), np.array([], dtype=np.int64)]
         batch += list(vanishing_samples[1:50])
         d = np.array([639, 600, 500, 100, 0], dtype=np.int64)
-        counts = _process_counts(batch, d)
+        counts = _counts_longer(*_flatten(batch), len(batch), d)
         assert counts.shape == (len(batch), len(d))
         for row, s in zip(counts, batch):
             lengths = s.lengths() if isinstance(s, CycleType) else s
             assert row.tolist() == [int(np.count_nonzero(lengths > dv)) for dv in d]
-        assert _process_counts([], d).shape == (0, len(d))
+        assert _counts_longer(*_flatten([]), 0, d).shape == (0, len(d))
 
     @pytest.mark.parametrize("K", [1, 3, 7])
     def test_batch_top_lengths_match_per_sample_top_k(self, critical_samples, K):
@@ -130,7 +119,10 @@ class TestBuildProcess:
         assert top.shape == (len(batch), K)
         for row, s in zip(top, batch):
             lengths = s.lengths() if isinstance(s, CycleType) else s
-            assert row.tolist() == _top_k(lengths, K).tolist()
+            expected = np.zeros(K, dtype=np.int64)
+            longest = np.sort(lengths)[::-1][:K]
+            expected[: len(longest)] = longest
+            assert row.tolist() == expected.tolist()
         assert _top_lengths(*_flatten([]), 0, K).shape == (0, K)
 
 
@@ -416,7 +408,6 @@ _BATTERIES = {
     "process": (VANISHING, lambda b: poisson_process_battery(b, VANISHING, [0.5, 1.0])),
     "tightness": (VANISHING, lambda b: tightness_moment_estimate(b, VANISHING, 0.5, 1.0, 1.5)),
     "clt": (CLT_MODEL, lambda b: clt_battery(CLT_MODEL, [10, 12], 1, samples=b)),
-    "build_process": (VANISHING, lambda b: build_process(b[-1], VANISHING, 0.01, [0.5, 1.0])),
 }
 
 
@@ -437,7 +428,7 @@ class TestSampleValidation:
         with pytest.raises(DomainError, match="1..alpha"):
             check_longest_critical([np.array([200, 1800])], CRITICAL, 1, 5)
 
-    @pytest.mark.parametrize("battery", sorted(set(_BATTERIES) - {"build_process"}))
+    @pytest.mark.parametrize("battery", sorted(_BATTERIES))
     def test_empty_batch_raises_domain_error(self, battery):
         with pytest.raises(DomainError, match="empty sample batch"):
             _BATTERIES[battery][1]([])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cyclecap.numerics import (
     NEG_INF,
     LogReal,
-    log_falling_factorial,
     log_sum_exp,
     log_sum_exp_value,
 )
@@ -83,10 +82,3 @@ class TestLogSumExp:
         v = log_sum_exp_value(arr)
         assert v >= arr.max()
         assert v <= arr.max() + math.log(len(logs)) + 1e-12
-
-
-class TestLogFallingFactorial:
-    def test_small_cases(self):
-        assert log_falling_factorial(5, 3).value() == pytest.approx(60.0, rel=1e-13)
-        assert log_falling_factorial(4, 0).value() == pytest.approx(1.0)
-        assert log_falling_factorial(4, 4).value() == pytest.approx(24.0, rel=1e-13)

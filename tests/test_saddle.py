@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclecap.errors import ConstraintError, DomainError, RegimeError
+from cyclecap.errors import ConstraintError, DomainError, NumericalError, RegimeError
 from cyclecap.exact import egf_coefficients, expected_cycle_count, mgf_Cm
 from cyclecap.model import ConstraintModel, WeightArray
 from cyclecap.saddle import (
@@ -49,7 +49,7 @@ class TestSolveSaddle:
 
     def test_lambdas_increasing_for_x_above_one(self):
         sol = solve_saddle(WeightArray.constant(1.0, 20), 100.0)
-        l0, l1, l2, l3 = sol.lambdas
+        l0, l1, l2, l3 = sol.log_lambdas
         assert l0 < l1 < l2 < l3
 
     def test_nonuniform_weights(self):
@@ -266,6 +266,13 @@ class TestMgf:
         with pytest.raises(ConstraintError):
             mgf_Cm(model, 5, -0.5, mode="approx")
 
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    @pytest.mark.parametrize("s", [700.0, 710.0, math.inf])
+    def test_out_of_range_is_a_numerical_error(self, mode, s):
+        # s = 700: theta e^s fits, the ratio does not; s >= 710: e^s itself does not
+        with pytest.raises(NumericalError, match="exceeds double range"):
+            mgf_Cm(ConstraintModel(n=50, alpha=7, theta=1.0), 3, s, mode=mode)
+
 
 class TestExpectedCount:
     def test_close_to_mu_in_bulk(self):
@@ -307,3 +314,8 @@ class TestHCalculus:
     def test_non_finite_s_refused(self, s):
         with pytest.raises(DomainError):
             clt_h_calculus(ConstraintModel(n=2000, alpha=12, theta=1.0), 10, s)
+
+    def test_weight_past_double_range_is_a_numerical_error(self):
+        # s / sqrt(mu_10) is about 1891, so theta e^(s/sqrt(mu)) overflows
+        with pytest.raises(NumericalError, match="exceeds double range"):
+            clt_h_calculus(ConstraintModel(n=2000, alpha=12, theta=1.0), 10, 1e4)
