@@ -37,7 +37,6 @@ from .exact import (
     longest_cycle_cdf,
     mgf_Cm,
     partition_function,
-    poisson_means,
 )
 from .limits import (
     CLTReport,
@@ -65,12 +64,11 @@ from .model import (
     cycle_type_of,
     ewens_log_weight,
 )
-from .numerics import LogReal, log_sum_exp, log_sum_exp_value
+from .numerics import LogReal, log_sum_exp_value
 from .saddle import (
     AsymptoticTilt,
     HCalculus,
     SaddleSolution,
-    TruncatedSaddle,
     admissibility_report,
     asymptotic_x,
     clt_h_calculus,
@@ -80,21 +78,16 @@ from .saddle import (
     saddle_point_coefficient,
     solve_model_saddle,
     solve_saddle,
-    solve_truncated_saddle,
-    solve_y,
 )
 from .sampler import (
     RNG_ID,
     SamplerState,
-    first_cycle_pmf,
-    sample_batch,
-    sample_cycle_type,
     sample_lengths,
     sample_permutation,
     sample_type_array,
 )
 
-__version__ = "0.1.3"
+__version__ = "0.1.4"
 
 __all__ = [
     "__version__",
@@ -110,7 +103,6 @@ __all__ = [
     "RegimeError",
     # numerics
     "LogReal",
-    "log_sum_exp",
     "log_sum_exp_value",
     # model
     "AlphaRule",
@@ -128,7 +120,6 @@ __all__ = [
     "partition_function",
     "CompoundPoissonDist",
     "compound_poisson_pmf",
-    "poisson_means",
     "joint_cycle_count_logpmf",
     "TVReport",
     "exact_tv_distance",
@@ -146,9 +137,6 @@ __all__ = [
     "mu_alpha_of",
     "AsymptoticTilt",
     "asymptotic_x",
-    "solve_y",
-    "TruncatedSaddle",
-    "solve_truncated_saddle",
     "regime_report",
     "admissibility_report",
     "saddle_point_coefficient",
@@ -157,10 +145,7 @@ __all__ = [
     # sampler
     "RNG_ID",
     "SamplerState",
-    "first_cycle_pmf",
-    "sample_cycle_type",
     "sample_permutation",
-    "sample_batch",
     "sample_lengths",
     "sample_type_array",
     # limits

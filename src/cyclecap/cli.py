@@ -51,7 +51,7 @@ from .limits import (
     poisson_process_battery,
     tightness_moment_estimate,
 )
-from .model import ConstraintModel, WeightArray
+from .model import ConstraintModel
 from .saddle import (
     admissibility_report,
     asymptotic_x,
@@ -300,14 +300,14 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_spcheck(args) -> int:
     model = _model_from_args(args)
-    q = WeightArray.for_model(model)
-    approx = saddle_point_coefficient(q, model.n)
+    sol = solve_model_saddle(model)
+    approx = saddle_point_coefficient(sol)
     exact_log = partition_function(model).logval
     result = {
         "log_exact": exact_log,
         "log_approx": approx.logval,
         "ratio": math.exp(approx.logval - exact_log),
-        "admissibility": dataclasses.asdict(admissibility_report(q, model.n)),
+        "admissibility": dataclasses.asdict(admissibility_report(sol)),
     }
     _emit_json(args, result)
     return 0

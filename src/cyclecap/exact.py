@@ -78,7 +78,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -445,32 +445,17 @@ def partition_function(model: ConstraintModel) -> LogReal:
     return TiltedModel.for_model(model).table.coefficient(model.n)
 
 
-MeansLike = Union[Mapping[int, float], Sequence[float], np.ndarray]
-
-
-def _means_to_dense(means: MeansLike, first_index: int) -> Tuple[np.ndarray, int, int]:
-    """Normalize means input to (dense mu_1..mu_b2 vector, b1, b2)."""
-    if isinstance(means, Mapping):
-        if len(means) == 0:
-            return np.zeros(0), 0, 0
-        idx = sorted(means)
-        if idx[0] < 1:
-            raise DomainError(f"mean indices must be >= 1, got {idx[0]}")
-        dense = np.zeros(idx[-1])
-        for i in idx:
-            dense[i - 1] = float(means[i])
-        b2 = idx[-1]
-        b1 = idx[0] - 1
-    else:
-        vec = np.asarray(means, dtype=float)
-        if vec.ndim != 1:
-            raise DomainError("means must be a one-dimensional vector")
-        if first_index < 1:
-            raise DomainError(f"first_index must be >= 1, got {first_index}")
-        b1 = first_index - 1
-        b2 = b1 + len(vec)
-        dense = np.zeros(b2)
-        dense[b1:b2] = vec
+def _means_to_dense(means: Sequence[float], first_index: int) -> Tuple[np.ndarray, int, int]:
+    """(dense mu_1..mu_b2 vector, b1, b2), the means placed at indices b1+1..b2."""
+    vec = np.asarray(means, dtype=float)
+    if vec.ndim != 1:
+        raise DomainError("means must be a one-dimensional vector")
+    if first_index < 1:
+        raise DomainError(f"first_index must be >= 1, got {first_index}")
+    b1 = first_index - 1
+    b2 = b1 + len(vec)
+    dense = np.zeros(b2)
+    dense[b1:b2] = vec
     if np.any(dense < 0) or not np.all(np.isfinite(dense)):
         raise DomainError("means must be finite and nonnegative")
     return dense, b1, b2
@@ -509,11 +494,11 @@ class CompoundPoissonDist:
         return _recurrence_residual(k, logw, self.log_pmf_values)
 
 
-def compound_poisson_pmf(means: MeansLike, N: int, first_index: int = 1) -> CompoundPoissonDist:
+def compound_poisson_pmf(means: Sequence[float], N: int, first_index: int = 1) -> CompoundPoissonDist:
     """Exact pmf of T = sum_j j*Y_j on {0..N} plus the truncated tail mass.
 
-    `means` is either a mapping {j: mu_j} or a vector taken as
-    mu_{first_index}, mu_{first_index+1}, ... All indices j >= 1.
+    `means` is a vector taken as mu_{first_index}, mu_{first_index+1}, ...
+    with first_index >= 1.
     """
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
@@ -533,11 +518,6 @@ def compound_poisson_pmf(means: MeansLike, N: int, first_index: int = 1) -> Comp
     return CompoundPoissonDist(
         log_pmf_values=log_pmf, means=dense[b1:], range=(b1, b2), tail_mass=max(tail, 0.0)
     )
-
-
-def poisson_means(model: ConstraintModel) -> np.ndarray:
-    """mu_j = theta * x^j / j for j = 1..alpha at the saddle tilt x (a copy)."""
-    return TiltedModel.for_model(model).mu.copy()
 
 
 def joint_cycle_count_logpmf(model: ConstraintModel, prefix: Sequence[int]) -> LogReal:
@@ -598,7 +578,7 @@ def exact_tv_distance(model: ConstraintModel, b: int) -> TVReport:
     return TVReport(b=b, tv=min(max(tv, 0.0), 1.0), terms_summed=n + 1)
 
 
-def chernoff_tail_bound(means: MeansLike, rho: float) -> LogReal:
+def chernoff_tail_bound(means: Sequence[float], rho: float) -> LogReal:
     """log of exp(m*(rho - rho*log(rho))/b), an upper bound for P[T >= rho*m].
 
     Here m = sum_j j*mu_j and b is the largest index carrying a mean. The
@@ -738,8 +718,8 @@ def mgf_Cm(model: ConstraintModel, m: int, s: float, mode: str = "exact") -> flo
     approx: ratio of the two leading saddle-point terms (s >= 0, matching the
             regime the approximation is proved in).
 
-    Raises NumericalError where theta e^s or the returned ratio exceeds
-    double range.
+    Raises DomainError at s = nan, and NumericalError where theta e^s or the
+    returned ratio exceeds double range.
     """
     q_pert = _perturbed_row(model, m, s)
     if mode == "exact":
@@ -749,8 +729,8 @@ def mgf_Cm(model: ConstraintModel, m: int, s: float, mode: str = "exact") -> flo
     elif mode == "approx":
         if s < 0:
             raise ConstraintError("approx mode is stated for s >= 0")
-        num = saddle_point_coefficient(q_pert, model.n)
-        den = saddle_point_coefficient(WeightArray.for_model(model), model.n)
+        den = saddle_point_coefficient(_model_solution(model.n, model.alpha, model.theta))
+        num = saddle_point_coefficient(solve_saddle(q_pert, float(model.n)))
         log_ratio = num.logval - den.logval
     else:
         raise ConstraintError(f"unknown mgf mode {mode!r}")

@@ -157,7 +157,7 @@ class CycleType:
 
     __slots__ = ("n", "_key")
 
-    def __init__(self, n: int, counts=None, pairs=None, validate: bool = True):
+    def __init__(self, n: int, counts=None, pairs=None):
         self.n = int(n)
         if counts is not None:
             dense = np.asarray(counts, dtype=np.int64)
@@ -170,12 +170,11 @@ class CycleType:
         elif isinstance(pairs, Mapping):
             pairs = pairs.items()
         self._key = tuple(sorted({int(j): int(c) for j, c in pairs if c}.items()))
-        if validate:
-            total = sum(j * c for j, c in self._key)
-            if total != self.n:
-                raise StructuralError(f"sum j*c_j = {total} != n = {self.n}")
-            if any(c < 0 or j < 1 or j > self.n for j, c in self._key):
-                raise StructuralError("cycle type entries out of range")
+        total = sum(j * c for j, c in self._key)
+        if total != self.n:
+            raise StructuralError(f"sum j*c_j = {total} != n = {self.n}")
+        if any(c < 0 or j < 1 or j > self.n for j, c in self._key):
+            raise StructuralError("cycle type entries out of range")
 
     @classmethod
     def from_parts(cls, parts, n: Optional[int] = None) -> "CycleType":
@@ -236,16 +235,15 @@ class Permutation:
 
     __slots__ = ("image",)
 
-    def __init__(self, image, validate: bool = True):
+    def __init__(self, image):
         img = np.asarray(image, dtype=np.int64)
-        if validate:
-            n = len(img)
-            seen = np.zeros(n, dtype=bool)
-            if n and (img.min() < 0 or img.max() >= n):
-                raise StructuralError("image entries out of range")
-            seen[img] = True
-            if not seen.all():
-                raise StructuralError("mapping is not a bijection")
+        n = len(img)
+        seen = np.zeros(n, dtype=bool)
+        if n and (img.min() < 0 or img.max() >= n):
+            raise StructuralError("image entries out of range")
+        seen[img] = True
+        if not seen.all():
+            raise StructuralError("mapping is not a bijection")
         self.image = img
 
     @classmethod

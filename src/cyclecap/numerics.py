@@ -6,7 +6,7 @@ magnitude, so they are carried as natural logarithms in binary64: a LogReal
 stores log(v), and v = 0 is encoded exactly as -inf (never as a tiny positive
 sentinel, because total-variation formulas take exact (.)_+ clamps).
 
-Precision envelope: log_sum_exp uses a max shift plus numpy's pairwise
+Precision envelope: log_sum_exp_value uses a max shift plus numpy's pairwise
 summation, giving relative error ~1e-15 per reduction and bit-identical output
 for identical input order.
 """
@@ -70,32 +70,8 @@ class LogReal:
         return self.logval <= other.logval
 
 
-def _as_log_array(terms) -> np.ndarray:
-    if isinstance(terms, np.ndarray):
-        return terms.astype(float, copy=False)
-    vals = [t.logval if isinstance(t, LogReal) else float(t) for t in terms]
-    return np.asarray(vals, dtype=float)
-
-
-def log_sum_exp(terms) -> LogReal:
-    """log(sum exp(t_i)) over log-values (floats, LogReals, or an ndarray).
-
-    Empty input returns LogReal zero (-inf). The max shift guarantees no
-    overflow for finite inputs; numpy's pairwise reduction makes the result
-    bit-reproducible for a fixed input order and permutation-invariant to
-    ~1e-15 relative.
-    """
-    a = _as_log_array(terms)
-    if a.size == 0:
-        return LogReal(NEG_INF)
-    m = float(np.max(a))
-    if m == NEG_INF:
-        return LogReal(NEG_INF)
-    return LogReal(m + math.log(float(np.sum(np.exp(a - m)))))
-
-
 def log_sum_exp_value(a: np.ndarray) -> float:
-    """Plain-float variant of log_sum_exp for internal hot paths."""
+    """log(sum exp(a_i)) as a float; -inf for empty or all -inf input."""
     if a.size == 0:
         return NEG_INF
     m = float(np.max(a))

@@ -20,9 +20,8 @@ target c*n:
     alpha * log x(c)  ~  log( (cn/(theta*alpha)) * log(cn/(theta*alpha)) )
     lambda_2          ~  c * n * alpha / theta
 
-The module also houses the two-root equation theta*e^(alpha*y) = n*y, the
-b-truncated tilt n = theta * sum_{j=b+1}^alpha x^j, admissibility diagnostics,
-the leading saddle-point coefficient approximation
+The module also houses admissibility diagnostics, the leading saddle-point
+coefficient approximation
 
     [z^n] f(z) exp(sum_j (q_j/j) z^j)  ~=  f(x) e^lambda_0 / (x^n sqrt(2 pi lambda_2)),
 
@@ -76,17 +75,6 @@ class RegimeReport:
     approx: float
     classification: str
     thresholds: tuple
-
-
-@dataclass(frozen=True)
-class TruncatedSaddle:
-    """Root of the b-truncated equation plus the sandwiching full-row tilts."""
-
-    x: float
-    x_full: float
-    x_reduced: float
-    residual: float
-    sandwich_ok: bool
 
 
 @dataclass(frozen=True)
@@ -220,88 +208,6 @@ def asymptotic_x(c: float, n: float, alpha: int, theta: float) -> AsymptoticTilt
     )
 
 
-def solve_y(n: float, alpha: int, theta: float) -> tuple:
-    """Both roots 0 < y0 <= y of theta * e^(alpha*y) = n*y.
-
-    Equivalent to phi(y) = alpha*y - log(y) = log(n/theta); phi has its minimum
-    1 + log(alpha) at y* = 1/alpha, so roots exist iff n/(theta*alpha) >= e.
-    Bisection plus Newton on each monotone branch; relative residuals <= 1e-12.
-    """
-    target = math.log(n / theta)
-    ystar = 1.0 / alpha
-    phi_min = 1.0 + math.log(alpha)
-    gap = target - phi_min
-    if gap < -1e-12:
-        raise RegimeError(f"no real roots: n/(theta*alpha) = {n/(theta*alpha):.6g} < e")
-    if gap <= 1e-12:
-        return (ystar, ystar)
-
-    def phi(y):
-        return alpha * y - math.log(y)
-
-    def solve_branch(lo, hi, increasing):
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if (phi(mid) < target) == increasing:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-6 * max(abs(lo), 1e-12):
-                break
-        y = 0.5 * (lo + hi)
-        for _ in range(_NEWTON_MAX_ITER):
-            g = phi(y) - target
-            slope = alpha - 1.0 / y
-            if slope == 0.0:
-                break
-            y_new = y - g / slope
-            y_new = min(max(y_new, lo), hi)
-            if y_new == y or abs(g) < 1e-15:
-                break
-            y = y_new
-        return y
-
-    # Lower branch: phi decreasing on (0, 1/alpha].
-    lo = ystar
-    while phi(lo) < target:
-        lo /= 2.0
-        if lo < 1e-300:
-            raise NumericalError("lower-branch bracket underflow")
-    y0 = solve_branch(lo, ystar, increasing=False)
-
-    # Upper branch: phi increasing on [1/alpha, inf).
-    hi = max(2.0 * ystar, 1e-8)
-    while phi(hi) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NumericalError("upper-branch bracket overflow")
-    y = solve_branch(ystar, hi, increasing=True)
-
-    for root in (y0, y):
-        resid = abs(theta * math.exp(alpha * root) - n * root) / (n * root)
-        if resid > 1e-10:
-            raise NumericalError(f"two-root residual {resid:.3e} too large")
-    return (y0, y)
-
-
-def solve_truncated_saddle(n: float, alpha: int, b: int, theta: float) -> TruncatedSaddle:
-    """Root of n = theta * sum_{j=b+1}^alpha x^j, with the sandwich report.
-
-    x_{n,alpha} <= x_n holds unconditionally (fewer positive terms need a
-    larger tilt); x_n <= x_{n,alpha-b} additionally needs x >= 1, so the
-    sandwich is reported, not asserted.
-    """
-    if not (0 <= b < alpha):
-        raise ConstraintError(f"need 0 <= b < alpha, got b={b}, alpha={alpha}")
-    qvec = np.full(alpha, theta)
-    qvec[:b] = 0.0
-    sol = solve_saddle(WeightArray(qvec), n)
-    x_full = solve_saddle(WeightArray.constant(theta, alpha), n).x
-    x_reduced = solve_saddle(WeightArray.constant(theta, alpha - b), n).x if b > 0 else x_full
-    ok = x_full <= sol.x * (1 + 1e-12) and sol.x <= x_reduced * (1 + 1e-12)
-    return TruncatedSaddle(x=sol.x, x_full=x_full, x_reduced=x_reduced, residual=sol.residual, sandwich_ok=ok)
-
-
 def regime_report(model: ConstraintModel, thresholds: tuple = (0.1, 10.0)) -> RegimeReport:
     """Classify the model by exact mu_alpha against user thresholds.
 
@@ -340,19 +246,19 @@ class AdmissibilityReport:
 
 
 def admissibility_report(
-    q: WeightArray,
-    n: float,
+    sol: SaddleSolution,
     f_probe: Optional[FunctionProbe] = None,
     b: int = 0,
     phi_grid: int = 41,
 ) -> AdmissibilityReport:
     """Ratios alpha*log(x)/log(n/alpha), lambda_2/(n*alpha), tail min q_j, |||f|||_n.
 
-    The probe norm is delta * sup_{|phi| <= delta} |f'(x e^(i phi))| / |f(x)|
-    with delta = n^(-5/12) alpha^(-7/12), the sup taken over a uniform grid of
+    Read at the solved tilt sol of the row sol.q with target sol.n. The probe
+    norm is delta * sup_{|phi| <= delta} |f'(x e^(i phi))| / |f(x)| with
+    delta = n^(-5/12) alpha^(-7/12), the sup taken over a uniform grid of
     phi_grid points (engineering choice; the probes in scope are smooth).
     """
-    sol = solve_saddle(q, n)
+    q, n = sol.q, sol.n
     alpha = q.alpha
     alpha_log_x = alpha * math.log(sol.x)
     log_ratio = math.log(n / alpha) if n > alpha else float("nan")
@@ -378,16 +284,17 @@ def admissibility_report(
     )
 
 
-def saddle_point_coefficient(q: WeightArray, n: int, f: Optional[FunctionProbe] = None) -> LogReal:
+def saddle_point_coefficient(sol: SaddleSolution, f: Optional[FunctionProbe] = None) -> LogReal:
     """log of the leading term f(x) e^lambda_0 / (x^n sqrt(2 pi lambda_2)).
 
-    Only the leading term; error diagnostics live in admissibility_report.
+    Read at the solved tilt sol of the row sol.q with target n = sol.n. Only
+    the leading term; error diagnostics live in admissibility_report.
     Refused when alpha >= n (outside the regime where the approximation is
     meaningful).
     """
-    if q.alpha >= n:
-        raise RegimeError(f"saddle-point approximation needs alpha < n, got alpha={q.alpha}, n={n}")
-    sol = solve_saddle(q, float(n))
+    n = sol.n
+    if sol.q.alpha >= n:
+        raise RegimeError(f"saddle-point approximation needs alpha < n, got alpha={sol.q.alpha}, n={n:.17g}")
     log_lambda2 = sol.log_lambdas[2]
     if log_lambda2 == NEG_INF:
         raise DegenerateWeightsError("lambda_2 = 0: degenerate weight row")
@@ -405,9 +312,15 @@ def saddle_point_coefficient(q: WeightArray, n: int, f: Optional[FunctionProbe] 
 
 
 def _perturbed_row(model: ConstraintModel, m: int, log_factor: float) -> WeightArray:
-    """The model's row with q_m = theta * e^log_factor; NumericalError past double range."""
+    """The model's row with q_m = theta * e^log_factor.
+
+    A NaN log factor raises DomainError, a weight past double range
+    NumericalError.
+    """
     if not (1 <= m <= model.alpha):
         raise ConstraintError(f"m must satisfy 1 <= m <= alpha={model.alpha}, got {m}")
+    if math.isnan(log_factor):
+        raise DomainError(f"the log factor of q_{m} must not be NaN")
     try:
         q_m = model.theta * math.exp(log_factor)
     except OverflowError:
@@ -447,19 +360,21 @@ def clt_h_calculus(model: ConstraintModel, m: int, s: float) -> HCalculus:
 
     mu = mu_m is fixed at the unperturbed (s = 0) tilt. Negative s is accepted
     (the equation stays well-posed); the limit statements hold for s >= 0.
+    At s = 0 the perturbed row is the model's own, whose solution is reused.
     A non-finite s is refused with DomainError, and an s whose perturbed
     weight theta e^(s/sqrt(mu)) exceeds double range with NumericalError.
     """
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s}")
-    base = solve_model_saddle(model)
-    mu_m = mu(base, model.theta, m)
+    sol = solve_model_saddle(model)
+    mu_m = mu(sol, model.theta, m)
     sqrt_mu = math.sqrt(mu_m)
     q_pert = _perturbed_row(model, m, s / sqrt_mu)
-    try:
-        sol = solve_saddle(q_pert, float(model.n))
-    except NumericalError as e:
-        raise NumericalError(f"s-tilt root finder failed at s={s}: {e}")
+    if s != 0:
+        try:
+            sol = solve_saddle(q_pert, float(model.n))
+        except NumericalError as e:
+            raise NumericalError(f"s-tilt root finder failed at s={s}: {e}")
     x = sol.x
     lambda2 = sol.lambda_value(2)
     lambda3 = sol.lambda_value(3)

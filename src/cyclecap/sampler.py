@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, SizeGuardError
 from .exact import CoefficientTable, TiltedModel
-from .model import ConstraintModel, CycleType, Permutation
+from .model import ConstraintModel, Permutation
 from .saddle import solve_saddle  # noqa: F401  (perfbench/tests check the tracer rebinds it here)
 
 RNG_ID = "splitmix64-counter-v2"
@@ -183,29 +183,6 @@ class SamplerState:
         return cls(model=model, table=TiltedModel.for_model(model).table, seed=seed)
 
 
-def first_cycle_pmf(state: SamplerState, remaining: int) -> np.ndarray:
-    """P(cycle through a fixed unplaced element has length j), j = 1..min(alpha, remaining).
-
-    The masses are theta*h_(r-j)/(r*h_r), taken as ratios of the tilted table
-    so no coefficient leaves double range. Their sum is 1 by the coefficient
-    recurrence; a sum off by more than 1e-10 raises NumericalError, else the
-    row is returned normalized.
-    """
-    n = state.model.n
-    if not (1 <= remaining <= n):
-        raise DomainError(f"remaining must satisfy 1 <= remaining <= n={n}, got {remaining}")
-    j = np.arange(1, min(state.model.alpha, remaining) + 1)
-    logt = state.table.log_tilted_values
-    log_ratio = logt[remaining - j] - logt[remaining] + j * math.log(state.table.tilt)
-    p = state.model.theta / remaining * np.exp(log_ratio)
-    total = float(np.sum(p))
-    if not abs(total - 1.0) <= 1e-10:
-        raise NumericalError(
-            f"first-cycle masses at remaining={remaining} sum to {total}, not 1"
-        )
-    return p / total
-
-
 def _waves(state: SamplerState, bases: np.ndarray) -> Iterator[tuple]:
     """Yield (t, active, j) until every sample is complete.
 
@@ -260,19 +237,11 @@ def _check_count(count: int) -> None:
         raise DomainError(f"count must be >= 0, got {count}")
 
 
-def sample_cycle_type(state: SamplerState) -> CycleType:
-    """Exact draw from the cycle-type marginal; advances the state counter."""
-    base = stream_base(state.seed, state.counter)
-    state.counter += 1
-    (lengths,) = _draw_lengths(state, np.array([base], dtype=np.uint64))
-    return CycleType.from_lengths(lengths)
-
-
 def sample_permutation(state: SamplerState) -> Permutation:
-    """Exact permutation draw; cycle-type marginal matches sample_cycle_type.
+    """Exact permutation draw at stream index state.counter; advances the counter.
 
-    At the same (seed, counter) the drawn type is bit-identical to
-    sample_cycle_type's, because lengths read the same stream positions.
+    Its cycle type is bit-identical to the draw of sample_lengths at the same
+    seed and index, because lengths read the same stream positions.
     Given the type, the permutation is uniform: each cycle takes the next
     pool element as anchor and an ordered uniform selection of the remaining
     members (the anchor rule is deterministic given the history, so it does
@@ -316,7 +285,7 @@ def sample_type_array(
     if (count * model.n) * 4 > _TYPE_ARRAY_BYTE_GUARD:
         raise SizeGuardError(
             f"type matrix of {count} x {model.n} exceeds the size guard; "
-            "use sample_lengths or sample_batch instead"
+            "use sample_lengths instead"
         )
     state = SamplerState.for_model(model, seed)
     counts = np.zeros((count, model.n), dtype=np.int32)
@@ -340,18 +309,3 @@ def sample_lengths(
     for _, bases in _chunk_bases(seed, count, start_index):
         out.extend(_draw_lengths(state, bases))
     return out
-
-
-def sample_batch(
-    model: ConstraintModel, count: int, seed: int, start_index: int = 0
-) -> Iterator[CycleType]:
-    """Stream of count exact cycle-type draws, deterministic in (model, count, seed).
-
-    Sample i depends only on (seed, start_index + i): disjoint index ranges
-    drawn by different workers concatenate to the same batch.
-    """
-    _check_count(count)
-    state = SamplerState.for_model(model, seed)
-    for _, bases in _chunk_bases(seed, count, start_index):
-        for lengths in _draw_lengths(state, bases):
-            yield CycleType.from_lengths(lengths)

@@ -2,10 +2,10 @@ import dataclasses
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -30,6 +30,18 @@ def run_capture(argv, capsys):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Targets of every solve_saddle call, with the model caches emptied first."""
+    solve, calls = cyclecap.saddle.solve_saddle, []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cyclecap" and getattr(module, "solve_saddle", None) is solve:
+            monkeypatch.setattr(module, "solve_saddle", lambda q, n: calls.append(n) or solve(q, n))
+    cyclecap.saddle._model_solution.cache_clear()
+    cyclecap.exact._build_tilted.cache_clear()
+    return calls
 
 
 class TestExitCodes:
@@ -382,17 +394,26 @@ class TestLimitsAndCLTCommands:
             ["--alpha", "12", "--check", "clt", "--m-list", "10,12"],
         ],
     )
-    def test_limits_checks_solve_the_models_row_once(self, flags, capsys, monkeypatch):
+    def test_limits_checks_solve_the_models_row_once(self, flags, capsys, solve_calls):
         # The draws, the regime guard and the battery's means share one solve.
-        solve, calls = cyclecap.saddle.solve_saddle, []
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "cyclecap" and getattr(module, "solve_saddle", None) is solve:
-                monkeypatch.setattr(module, "solve_saddle", lambda q, n: calls.append(n) or solve(q, n))
-        cyclecap.saddle._model_solution.cache_clear()
-        cyclecap.exact._build_tilted.cache_clear()
         code, _ = run_capture(["limits", "--n", "2000", *flags, "--samples", "50", "--seed", "3"], capsys)
         assert code == 0
-        assert calls == [2000.0]
+        assert solve_calls == [2000.0]
+
+    @pytest.mark.parametrize(
+        "argv,solves",
+        [
+            # The approximation, the admissibility ratios and the h-table read one solve.
+            (["spcheck", "--n", "10000", "--alpha", "251"], 1),
+            # The model's row, then one perturbed row per m at s = 0.1; s = 0 reuses the first.
+            (["clt", "--n", "2000", "--alpha", "12", "--m-list", "10,12", "--s-grid", "0,0.1"], 3),
+        ],
+        ids=["spcheck", "clt"],
+    )
+    def test_exact_commands_solve_each_row_once(self, argv, solves, capsys, solve_calls):
+        code, _ = run_capture(argv, capsys)
+        assert code == 0
+        assert len(solve_calls) == solves
 
     def test_console_script_installed(self):
         proc = subprocess.run(
@@ -457,9 +478,14 @@ def test_all_names_are_attributes_listed_once():
 
 
 def test_pyproject_version_matches_package():
-    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
-    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
-    assert match is not None and match.group(1) == __version__
+    # The version is declared once, as cyclecap.__version__, which pyproject.toml reads.
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # older setuptools flags [tool.setuptools] as beta
+        config = read_configuration(Path(__file__).resolve().parent.parent / "pyproject.toml")
+    assert "version" in config["project"]["dynamic"]
+    assert config["project"]["version"] == __version__
 
 
 # Commands that compute exact laws, tilts and samples; none of them needs scipy.

@@ -28,7 +28,6 @@ from cyclecap.exact import (
     longest_cycle_cdf,
     mgf_Cm,
     partition_function,
-    poisson_means,
 )
 from cyclecap.model import AlphaRule, ConstraintModel, CycleType, WeightArray
 from cyclecap.sampler import sample_lengths
@@ -491,13 +490,6 @@ class TestCompoundPoisson:
         assert dist.p(3) == 0.0
         assert dist.tail_mass == pytest.approx(0.0, abs=1e-15)
 
-    def test_mapping_means_with_offset(self):
-        # support {3, 5}: same law as dense vector with zeros elsewhere
-        a = compound_poisson_pmf({3: 0.7, 5: 0.2}, 15)
-        b = compound_poisson_pmf(np.array([0.0, 0.0, 0.7, 0.0, 0.2]), 15)
-        for k in range(16):
-            assert a.p(k) == pytest.approx(b.p(k), rel=1e-12, abs=1e-300)
-
     def test_panjer_identity(self):
         dist = compound_poisson_pmf(np.array([0.4, 0.8, 0.1, 0.3]), 40)
         errs = [dist.panjer_rel_error(k) for k in range(1, 41)]
@@ -774,18 +766,19 @@ class TestLongestCycleCdf:
 class TestPoissonMeans:
     def test_tilt_equation_holds(self):
         model = ConstraintModel(n=500, alpha=40, theta=1.7)
-        mu = poisson_means(model)
+        mu = TiltedModel.for_model(model).mu
         assert float((np.arange(1, 41) * mu).sum()) == pytest.approx(500.0, rel=1e-9)
 
     def test_mutating_the_returned_means_changes_nothing_later(self):
         model = ConstraintModel(n=300, alpha=17, theta=1.9)
-        mu = poisson_means(model)
+        mu = TiltedModel.for_model(model).mu
         before = (exact_tv_distance(model, 4).tv, joint_cycle_count_logpmf(model, [1, 2]).logval)
-        mu[:] = 0.0
+        with pytest.raises(ValueError):
+            mu[:] = 0.0
         after = (exact_tv_distance(model, 4).tv, joint_cycle_count_logpmf(model, [1, 2]).logval)
         assert after == before
-        assert np.all(poisson_means(model) > 0)
-        assert not TiltedModel.for_model(model).mu.flags.writeable
+        assert np.all(TiltedModel.for_model(model).mu > 0)
+        assert not mu.flags.writeable
 
 
 class TestTiltedModel:
@@ -822,7 +815,7 @@ class TestTiltedModel:
                 exact_tv_distance(model, 2).tv,
                 joint_cycle_count_logpmf(model, [2, 1]).logval,
                 mgf_Cm(model, 2, 0.4),
-                poisson_means(model).tolist(),
+                TiltedModel.for_model(model).mu.tolist(),
                 [x.tolist() for x in sample_lengths(model, 5, seed=4)],
             )
 

@@ -18,8 +18,6 @@ from cyclecap.saddle import (
     saddle_point_coefficient,
     solve_model_saddle,
     solve_saddle,
-    solve_truncated_saddle,
-    solve_y,
 )
 from oracles import conditioned_distribution, tilt_root
 
@@ -123,60 +121,6 @@ class TestAsymptoticX:
             asymptotic_x(1.0, 100, 200, 1.0)  # v < 1
 
 
-class TestSolveY:
-    def test_frozen_value(self):
-        y0, y = solve_y(100.0, 1, 1.0)
-        assert y == pytest.approx(6.472, abs=2e-3)
-        assert 0 < y0 < 1 < y
-        # both roots satisfy alpha*y - log y = log(n/theta)
-        for root in (y0, y):
-            assert root - math.log(root) == pytest.approx(math.log(100.0), abs=1e-10)
-
-    def test_tangency_double_root(self):
-        # alpha*y - log y has minimum 1 + log(alpha) at y = 1/alpha;
-        # n/theta = e*alpha sits exactly at the minimum
-        y0, y = solve_y(math.e, 1, 1.0)
-        assert y0 == pytest.approx(1.0, abs=1e-6)
-        assert y == pytest.approx(1.0, abs=1e-6)
-
-    def test_no_root_raises(self):
-        with pytest.raises(RegimeError):
-            solve_y(2.0, 1, 1.0)  # log 2 < 1 + log 1
-
-    def test_large_alpha(self):
-        y0, y = solve_y(10**6, 100, 1.0)
-        for root in (y0, y):
-            assert 100 * root - math.log(root) == pytest.approx(math.log(10**6), abs=1e-8)
-
-
-class TestTruncatedSaddle:
-    def test_sandwich_when_x_above_one(self):
-        # x solves theta*sum_{j=b+1}^{alpha} x^j = n and is pinched between the
-        # full-range root (more terms, smaller tilt) and the shifted-range root
-        ts = solve_truncated_saddle(10**4, 50, 10, 1.0)
-        assert ts.x_full <= ts.x + 1e-12
-        assert ts.x <= ts.x_reduced + 1e-12
-        assert ts.sandwich_ok
-
-    def test_root_solves_truncated_equation(self):
-        ts = solve_truncated_saddle(1000.0, 20, 5, 2.0)
-        total = 2.0 * sum(ts.x**j for j in range(6, 21))
-        assert total == pytest.approx(1000.0, rel=1e-10)
-        # the reduced comparison root uses the range 1..alpha-b
-        total_reduced = 2.0 * sum(ts.x_reduced**j for j in range(1, 16))
-        assert total_reduced == pytest.approx(1000.0, rel=1e-10)
-
-    def test_b_zero_matches_plain_saddle(self):
-        ts = solve_truncated_saddle(500.0, 12, 0, 1.0)
-        sol = solve_saddle(WeightArray.constant(1.0, 12), 500.0)
-        assert ts.x == pytest.approx(sol.x, rel=1e-14)
-        assert ts.x_full == ts.x_reduced
-
-    def test_b_at_alpha_rejected(self):
-        with pytest.raises(ConstraintError):
-            solve_truncated_saddle(100.0, 5, 5, 1.0)
-
-
 class TestRegimeReport:
     def test_three_classifications(self):
         # mu_alpha large / moderate / tiny
@@ -198,8 +142,8 @@ class TestSaddlePointCoefficient:
     @pytest.mark.parametrize("n,alpha", [(1000, 63), (10**4, 251)])
     def test_close_to_exact(self, n, alpha):
         q = WeightArray.constant(1.0, alpha)
-        approx = saddle_point_coefficient(q, n)
         sol = solve_saddle(q, float(n))
+        approx = saddle_point_coefficient(sol)
         exact = egf_coefficients(q, n, tilt=sol.x).log_coefficient(n)
         ratio = math.exp(approx.logval - exact)
         assert abs(ratio - 1.0) <= 5 * alpha / n
@@ -208,23 +152,21 @@ class TestSaddlePointCoefficient:
         # [z^n] z^r e^{g(z)} = h_{n-r}: the approximation with probe z^r
         # should approximate h_{n-r} at the same saddle
         n, alpha, r = 2000, 100, 7
-        q = WeightArray.constant(1.0, alpha)
-        approx = saddle_point_coefficient(q, n, f=power_probe(r))
-        plain = saddle_point_coefficient(q, n)
-        sol = solve_saddle(q, float(n))
+        sol = solve_saddle(WeightArray.constant(1.0, alpha), float(n))
+        approx = saddle_point_coefficient(sol, f=power_probe(r))
+        plain = saddle_point_coefficient(sol)
         assert approx.logval - plain.logval == pytest.approx(r * math.log(sol.x), rel=1e-9)
 
     def test_constant_probe_matches_default(self):
-        q = WeightArray.constant(1.0, 30)
-        a = saddle_point_coefficient(q, 300)
-        b = saddle_point_coefficient(q, 300, f=CONSTANT_ONE)
+        sol = solve_saddle(WeightArray.constant(1.0, 30), 300.0)
+        a = saddle_point_coefficient(sol)
+        b = saddle_point_coefficient(sol, f=CONSTANT_ONE)
         assert a.logval == b.logval
 
 
 class TestAdmissibility:
     def test_report_fields_finite(self):
-        q = WeightArray.constant(1.0, 100)
-        rep = admissibility_report(q, 10**4)
+        rep = admissibility_report(solve_saddle(WeightArray.constant(1.0, 100), 10.0**4))
         assert rep.alpha_log_x > 0
         assert rep.saddle_ratio > 0
         assert 0 < rep.lambda2_over_n_alpha < 2
@@ -265,6 +207,11 @@ class TestMgf:
         model = ConstraintModel(n=100, alpha=10, theta=1.0)
         with pytest.raises(ConstraintError):
             mgf_Cm(model, 5, -0.5, mode="approx")
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_nan_s_is_a_domain_error(self, mode):
+        with pytest.raises(DomainError):
+            mgf_Cm(ConstraintModel(n=50, alpha=7, theta=1.0), 3, math.nan, mode=mode)
 
     @pytest.mark.parametrize("mode", ["exact", "approx"])
     @pytest.mark.parametrize("s", [700.0, 710.0, math.inf])

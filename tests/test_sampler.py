@@ -6,22 +6,32 @@ import pytest
 
 from cyclecap.errors import DomainError, NumericalError, SizeGuardError
 from cyclecap.exact import CoefficientTable, cycle_count_distribution, egf_coefficients
-from cyclecap.model import ConstraintModel, Permutation, WeightArray, cycle_type_of
+from cyclecap.model import ConstraintModel, CycleType, WeightArray, cycle_type_of
 from cyclecap.sampler import (
     RNG_ID,
     SamplerState,
     _GAMMA,
     _mix64_np,
-    first_cycle_pmf,
     mix64,
-    sample_batch,
-    sample_cycle_type,
     sample_lengths,
     sample_permutation,
     sample_type_array,
     stream_base,
 )
 from oracles import conditioned_distribution
+
+
+def first_cycle_row(state, r):
+    """theta*h_(r-j)/(r*h_r), j = 1..min(alpha, r), as ratios of the state's tilted table."""
+    j = np.arange(1, min(state.model.alpha, r) + 1)
+    logt = state.table.log_tilted_values
+    return state.model.theta / r * np.exp(logt[r - j] - logt[r] + j * math.log(state.table.tilt))
+
+
+def draw_type(model, seed, index):
+    """The cycle type of the draw at stream index `index` of `seed`."""
+    (lengths,) = sample_lengths(model, 1, seed, start_index=index)
+    return CycleType.from_lengths(lengths)
 
 
 class TestRngPrimitives:
@@ -64,7 +74,7 @@ class TestFirstCyclePmf:
         state = SamplerState.for_model(model, seed=0)
         table = egf_coefficients(WeightArray.for_model(model), 12)
         for r in (1, 3, 7, 12):
-            pmf = first_cycle_pmf(state, r)
+            pmf = first_cycle_row(state, r)
             assert len(pmf) == min(5, r)
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
             for j in range(1, min(5, r) + 1):
@@ -85,22 +95,12 @@ class TestFirstCyclePmf:
         model = ConstraintModel(n=n, alpha=alpha, theta=1.0)
         state = SamplerState.for_model(model, seed=0)
         table = egf_coefficients(WeightArray.for_model(model), r)
-        pmf = first_cycle_pmf(state, r)
+        pmf = first_cycle_row(state, r)
         assert len(pmf) == alpha
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         for j in range(1, alpha + 1):
             expected = math.exp(table.log_coefficient(r - j) - table.log_coefficient(r)) / r
             assert pmf[j - 1] == pytest.approx(expected, rel=1e-10)
-
-    def test_masses_off_the_recurrence_raise(self):
-        model = ConstraintModel(n=12, alpha=5, theta=1.0)
-        good = SamplerState.for_model(model, seed=0).table
-        logt = good.log_tilted_values.copy()
-        logt[7] += 1e-3
-        table = CoefficientTable(q=good.q, tilt=good.tilt, log_tilted_values=logt)
-        state = SamplerState(model=model, table=table, seed=0)
-        with pytest.raises(NumericalError):
-            first_cycle_pmf(state, 7)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_table_raises(self, value):
@@ -112,38 +112,25 @@ class TestFirstCyclePmf:
         with pytest.raises(NumericalError):
             SamplerState(model=model, table=table, seed=0)
 
-    def test_remaining_out_of_range(self):
-        model = ConstraintModel(n=6, alpha=3, theta=1.0)
-        state = SamplerState.for_model(model, seed=0)
-        with pytest.raises(DomainError):
-            first_cycle_pmf(state, 0)
-        with pytest.raises(DomainError):
-            first_cycle_pmf(state, 7)
-
 
 class TestSampleCycleType:
     def test_deterministic_and_counter_driven(self):
+        # Draw i depends on (seed, i) only: single draws by index repeat the batch.
         model = ConstraintModel(n=20, alpha=6, theta=1.0)
-        a = SamplerState.for_model(model, seed=9)
-        b = SamplerState.for_model(model, seed=9)
-        seq_a = [sample_cycle_type(a).key() for _ in range(10)]
-        seq_b = [sample_cycle_type(b).key() for _ in range(10)]
+        seq_a = [draw_type(model, 9, i).key() for i in range(10)]
+        seq_b = [CycleType.from_lengths(x).key() for x in sample_lengths(model, 10, seed=9)]
         assert seq_a == seq_b
-        assert a.counter == 10
+        assert len(set(seq_a)) > 1
 
     def test_seed_changes_stream(self):
         model = ConstraintModel(n=20, alpha=6, theta=1.0)
-        seq = lambda seed: [
-            sample_cycle_type(SamplerState.for_model(model, seed=seed)).key()
-            for _ in range(5)
-        ]
+        seq = lambda seed: [draw_type(model, seed, i).key() for i in range(5)]
         assert seq(1) != seq(2)
 
     def test_validity_of_samples(self):
         model = ConstraintModel(n=30, alpha=4, theta=0.5)
-        state = SamplerState.for_model(model, seed=3)
-        for _ in range(50):
-            t = sample_cycle_type(state)
+        for lengths in sample_lengths(model, 50, seed=3):
+            t = CycleType.from_lengths(lengths)
             assert t.n == 30
             assert t.is_admissible(4)
 
@@ -195,12 +182,10 @@ class TestSamplePermutation:
 
     def test_cycle_type_marginal_identical_to_type_sampler(self):
         model = ConstraintModel(n=25, alpha=8, theta=1.5)
-        s_type = SamplerState.for_model(model, seed=42)
         s_perm = SamplerState.for_model(model, seed=42)
-        for _ in range(30):
-            t = sample_cycle_type(s_type)
+        for i in range(30):
             p = sample_permutation(s_perm)
-            assert cycle_type_of(p).key() == t.key()
+            assert cycle_type_of(p).key() == draw_type(model, 42, i).key()
 
     def test_respects_constraint(self):
         model = ConstraintModel(n=12, alpha=3, theta=1.0)
@@ -213,11 +198,12 @@ class TestSamplePermutation:
 class TestBatchPaths:
     def test_wave_equals_per_draw(self):
         model = ConstraintModel(n=12, alpha=5, theta=1.0)
-        # The chunked batch entry point against one-draw-at-a-time calls.
+        # The count matrix against the same draws taken as cycle lengths.
         arr = sample_type_array(model, 5000, seed=3)
-        state = SamplerState.for_model(model, seed=3)
-        for i in range(5000):
-            assert np.array_equal(arr[i], sample_cycle_type(state).to_dense())
+        lengths = sample_lengths(model, 5000, seed=3)
+        assert len(lengths) == len(arr)
+        for row, x in zip(arr, lengths):
+            assert np.array_equal(row, np.bincount(x, minlength=13)[1:])
 
     def test_start_index_partition_equivalence(self):
         model = ConstraintModel(n=40, alpha=7, theta=1.0)
@@ -228,13 +214,6 @@ class TestBatchPaths:
         assert len(whole) == len(parts)
         for a, b in zip(whole, parts):
             assert np.array_equal(a, b)
-
-    def test_sample_batch_yields_consistent_types(self):
-        model = ConstraintModel(n=10, alpha=4, theta=2.0)
-        types = list(sample_batch(model, 200, seed=6))
-        arr = sample_type_array(model, 200, seed=6)
-        for t, row in zip(types, arr):
-            assert np.array_equal(t.to_dense(), row)
 
     def test_lengths_sum_to_n(self):
         model = ConstraintModel(n=100, alpha=10, theta=1.0)
