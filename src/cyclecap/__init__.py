@@ -87,7 +87,7 @@ from .sampler import (
     sample_type_array,
 )
 
-__version__ = "0.1.4"
+__version__ = "0.1.5"
 
 __all__ = [
     "__version__",

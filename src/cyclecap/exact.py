@@ -61,12 +61,18 @@ reaches it through an active weight. `egf_coefficients` answers such a
 failure by rerunning the row at its saddle tilt for N, where the table has
 the least dynamic range.
 
-The law of one count C_m needs no table of its own where mu_m is small. Under
-the conditioning relation (Arratia, Barbour & Tavare, Logarithmic
-Combinatorial Structures, EMS 2003) the factorial moments are
-E[(C_m)_c] = mu_m^c * h_(n-cm) x^(n-cm) / (h_n x^n), read off the model's
-table, and P[C_m = k] is their finite alternating sum over c >= k. That sum
-is taken only where mu_m <= ln(16)/2 and (n/m)^2 <= n, and kept only under a
+Every exact law is Poisson factors times one ratio. Under the conditioning
+relation (Arratia, Barbour & Tavare, Logarithmic Combinatorial Structures,
+EMS 2003) the counts C_j are independent Poisson(mu_j) at the saddle tilt x,
+conditioned on sum_j j*C_j = n. So an event fixing counts c_j of total size s
+has probability prod_j mu_j^c_j / c_j! * rho_s, where
+rho_s = T_(n-s) x^(n-s) / (h_n x^n) and T is the table, at x, of the row of
+the lengths the event leaves free. `TiltedModel.log_ratio` alone forms rho.
+
+The law of one count C_m needs no table of its own where mu_m is small: the
+factorial moments E[(C_m)_c] = mu_m^c * rho_cm read the model's own table,
+and P[C_m = k] is their finite alternating sum over c >= k. That sum is taken
+only where mu_m <= ln(16)/2 and (n/m)^2 <= n, and kept only under a
 certificate: every k's sum is positive and at least 1/16 of the sum of its
 terms' magnitudes, so cancellation costs at most 16 times the terms'
 rounding. Elsewhere (the diverging regime, where mu_alpha grows with n) the
@@ -78,7 +84,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -335,10 +341,6 @@ class CoefficientTable:
     def N(self) -> int:
         return len(self.log_tilted_values) - 1
 
-    def log_tilted(self, k: int) -> float:
-        self._check_index(k)
-        return float(self.log_tilted_values[k])
-
     def log_coefficient(self, k: int) -> float:
         """log h_k, untilted."""
         self._check_index(k)
@@ -400,7 +402,8 @@ class TiltedModel:
     j = 1..alpha, and table holds the coefficients h_0..h_n of
     exp(theta * sum_{j<=alpha} z^j/j) tilted by x. Every exact query and the
     sampler read these; both arrays are read-only because the most recent
-    model's context is cached and shared.
+    model's context is cached and shared. Every exact law divides by h_n x^n
+    in one place, `log_ratio`.
     """
 
     model: ConstraintModel
@@ -414,10 +417,23 @@ class TiltedModel:
         # itself need not be hashable.
         return _build_tilted(model.n, model.alpha, model.theta)
 
-    @property
-    def log_p_total(self) -> float:
-        """log P[T_(0,alpha) = n] = log(h_n x^n) - sum_j mu_j."""
-        return self.table.log_tilted(self.model.n) - float(np.sum(self.mu))
+    def log_ratio(self, q: Optional[WeightArray], s):
+        """log rho_s = log(T_(n-s) x^(n-s)) - log(h_n x^n) for s (a scalar or an array).
+
+        T is the table of the row q at this tilt: the model's own h-table when
+        q is None, exp(0) = 1 (T_0 = 1, T_k = 0 after) when q is all zeros,
+        and otherwise one table of q up to n - min(s).
+        """
+        n = self.model.n
+        s = np.asarray(s)
+        if q is None:
+            log_t = self.table.log_tilted_values[n - s]
+        elif q.is_degenerate:
+            log_t = np.where(s == n, 0.0, NEG_INF)
+        else:
+            log_t = egf_coefficients(q, n - int(s.min()), tilt=self.x).log_tilted_values[n - s]
+        log_rho = log_t - self.table.log_tilted_values[n]
+        return float(log_rho) if log_rho.ndim == 0 else log_rho
 
 
 # One entry: callers group their queries by model, and every entry kept
@@ -445,29 +461,22 @@ def partition_function(model: ConstraintModel) -> LogReal:
     return TiltedModel.for_model(model).table.coefficient(model.n)
 
 
-def _means_to_dense(means: Sequence[float], first_index: int) -> Tuple[np.ndarray, int, int]:
-    """(dense mu_1..mu_b2 vector, b1, b2), the means placed at indices b1+1..b2."""
+def _means_vector(means: Sequence[float]) -> np.ndarray:
+    """The means mu_1..mu_b as a float vector, checked finite and nonnegative."""
     vec = np.asarray(means, dtype=float)
     if vec.ndim != 1:
         raise DomainError("means must be a one-dimensional vector")
-    if first_index < 1:
-        raise DomainError(f"first_index must be >= 1, got {first_index}")
-    b1 = first_index - 1
-    b2 = b1 + len(vec)
-    dense = np.zeros(b2)
-    dense[b1:b2] = vec
-    if np.any(dense < 0) or not np.all(np.isfinite(dense)):
+    if np.any(vec < 0) or not np.all(np.isfinite(vec)):
         raise DomainError("means must be finite and nonnegative")
-    return dense, b1, b2
+    return vec
 
 
 @dataclass(frozen=True)
 class CompoundPoissonDist:
-    """Exact law of T = sum_j j*Y_j, Y_j ~ Poisson(mu_j) independent, j in (b1, b2]."""
+    """Exact law of T = sum_j j*Y_j, Y_j ~ Poisson(mu_j) independent, j = 1..len(means)."""
 
     log_pmf_values: np.ndarray = field(repr=False)
     means: np.ndarray
-    range: Tuple[int, int]
     tail_mass: float
 
     @property
@@ -486,47 +495,36 @@ class CompoundPoissonDist:
         """|rhs/lhs - 1| for k*p_k = sum_j j*mu_j*p_{k-j} (0 if both vanish)."""
         if not (1 <= k <= self.N):
             raise DomainError(f"recurrence index {k} outside 1..{self.N}")
-        b1, b2 = self.range
-        m = min(b2, k)
-        dense = np.zeros(b2)
-        dense[b1:] = self.means
-        logw = _log_weights(np.arange(1, m + 1) * dense[:m])
+        m = min(len(self.means), k)
+        logw = _log_weights(np.arange(1, m + 1) * self.means[:m])
         return _recurrence_residual(k, logw, self.log_pmf_values)
 
 
-def compound_poisson_pmf(means: Sequence[float], N: int, first_index: int = 1) -> CompoundPoissonDist:
-    """Exact pmf of T = sum_j j*Y_j on {0..N} plus the truncated tail mass.
-
-    `means` is a vector taken as mu_{first_index}, mu_{first_index+1}, ...
-    with first_index >= 1.
-    """
+def compound_poisson_pmf(means: Sequence[float], N: int) -> CompoundPoissonDist:
+    """Exact pmf of T = sum_j j*Y_j, Y_j ~ Poisson(means[j-1]), on {0..N}, plus the tail mass."""
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
-    dense, b1, b2 = _means_to_dense(means, first_index)
-    M = float(np.sum(dense))
-    if b2 == 0 or M == 0.0:
+    mu = _means_vector(means)
+    M = float(np.sum(mu))
+    if M == 0.0:
         log_pmf = np.full(N + 1, NEG_INF)
         log_pmf[0] = 0.0
-        return CompoundPoissonDist(
-            log_pmf_values=log_pmf, means=dense[b1:], range=(b1, b2), tail_mass=0.0
-        )
+        return CompoundPoissonDist(log_pmf_values=log_pmf, means=mu, tail_mass=0.0)
     # At tilt 1 the stored logs are log(e^M p_k), retilted where the DP needs it.
-    table = egf_coefficients(WeightArray(np.arange(1, b2 + 1) * dense), N)
+    table = egf_coefficients(WeightArray(np.arange(1, len(mu) + 1) * mu), N)
     log_pmf = table.log_tilted_values - M
     total = log_sum_exp_value(log_pmf)
     tail = -math.expm1(total) if total < 0 else 0.0
-    return CompoundPoissonDist(
-        log_pmf_values=log_pmf, means=dense[b1:], range=(b1, b2), tail_mass=max(tail, 0.0)
-    )
+    return CompoundPoissonDist(log_pmf_values=log_pmf, means=mu, tail_mass=max(tail, 0.0))
 
 
 def joint_cycle_count_logpmf(model: ConstraintModel, prefix: Sequence[int]) -> LogReal:
     """log P[(C_1,...,C_b) = prefix] under the constrained measure.
 
-    Computed as prod_j Poisson(c_j; mu_j) * P[T_(b,alpha) = n-r] / P[T_(0,alpha) = n]
-    with r = sum_j j*c_j and mu_j at the saddle tilt; the identity is exact,
-    not an approximation, and the denominator is read off the h-table as
-    h_n x^n e^(-sum mu_j). Returns log 0 when r > n.
+    Exactly prod_j Poisson(c_j; mu_j) * P[T_(b,alpha) = n-r] / P[T_(0,alpha) = n]
+    with r = sum_j j*c_j. The e^(-mu_j) cancel, leaving sum_j (c_j log mu_j -
+    log c_j!) + log rho_r on the row without weights 1..b, whose table is
+    built up to n - r. Returns log 0 when r > n.
     """
     c = np.asarray(prefix, dtype=float)
     b = len(c)
@@ -539,10 +537,9 @@ def joint_cycle_count_logpmf(model: ConstraintModel, prefix: Sequence[int]) -> L
     if r > model.n:
         return LogReal.zero()
     tm = TiltedModel.for_model(model)
-    mu = tm.mu
-    log_poisson = float(np.sum(-mu[:b] + c * np.log(mu[:b]) - [math.lgamma(ci + 1) for ci in c]))
-    rest = compound_poisson_pmf(mu[b:], model.n - r, first_index=b + 1)
-    return LogReal(log_poisson + rest.log_p(model.n - r) - tm.log_p_total)
+    log_poisson = float(np.sum(c * np.log(tm.mu[:b]) - [math.lgamma(ci + 1) for ci in c]))
+    rest = WeightArray(np.where(np.arange(1, model.alpha + 1) > b, model.theta, 0.0)) if b else None
+    return LogReal(log_poisson + tm.log_ratio(rest, r))
 
 
 @dataclass(frozen=True)
@@ -559,19 +556,20 @@ def exact_tv_distance(model: ConstraintModel, b: int) -> TVReport:
 
     The sum runs over r = 0..n; mass of T_0b beyond n contributes with full
     clamp 1 (those r force an impossible remainder). b = 0 compares empty
-    vectors and gives 0. P[T_0a = n] is read off the h-table.
+    vectors and gives 0. The ratio is e^(sum_{j<=b} mu_j) * rho_r on the row
+    without weights 1..b; the head P[T_0b = r] is `compound_poisson_pmf`.
     """
     if not (0 <= b <= model.alpha):
         raise ConstraintError(f"need 0 <= b <= alpha={model.alpha}, got b={b}")
     if b == 0:
         return TVReport(b=0, tv=0.0, terms_summed=0)
     tm = TiltedModel.for_model(model)
-    mu = tm.mu
     n = model.n
-    head = compound_poisson_pmf(mu[:b], n)
-    rest = compound_poisson_pmf(mu[b:], n, first_index=b + 1)
+    head = compound_poisson_pmf(tm.mu[:b], n)
+    rest = WeightArray(np.where(np.arange(1, model.alpha + 1) > b, model.theta, 0.0))
+    log_rho = tm.log_ratio(rest, np.arange(n + 1))
     with np.errstate(over="ignore"):
-        ratio = np.exp(rest.log_pmf_values[::-1] - tm.log_p_total)  # index r -> T_ba at n-r
+        ratio = np.exp(float(np.sum(tm.mu[:b])) + log_rho)
     clamp = np.clip(1.0 - ratio, 0.0, 1.0)
     with np.errstate(under="ignore"):
         tv = float(np.dot(np.exp(head.log_pmf_values), clamp)) + head.tail_mass
@@ -586,11 +584,11 @@ def chernoff_tail_bound(means: Sequence[float], rho: float) -> LogReal:
     """
     if not rho > 1:
         raise DomainError(f"rho must be > 1, got {rho}")
-    dense, _, b2 = _means_to_dense(means, 1)
-    if b2 == 0 or np.sum(dense) == 0.0:
+    mu = _means_vector(means)
+    if np.sum(mu) == 0.0:
         return LogReal.one()  # T = 0 a.s.; exponent vanishes with m = 0
-    m = float(np.dot(np.arange(1, b2 + 1), dense))
-    return LogReal(m * (rho - rho * math.log(rho)) / b2)
+    m = float(np.dot(np.arange(1, len(mu) + 1), mu))
+    return LogReal(m * (rho - rho * math.log(rho)) / len(mu))
 
 
 def brute_force_distribution(model: ConstraintModel) -> Dict[CycleType, LogReal]:
@@ -633,8 +631,7 @@ def _count_law_by_moments(tm: TiltedModel, m: int) -> Optional[np.ndarray]:
     if not 0.0 < mu_m <= 0.5 * math.log(_KAPPA) or kmax * kmax > n:
         return None
     c = np.arange(kmax + 1)
-    lt = tm.table.log_tilted_values
-    log_a = c * math.log(mu_m) + (lt[n - c * m] - lt[n])  # log(mu_m^c * rho_cm)
+    log_a = c * math.log(mu_m) + tm.log_ratio(None, c * m)  # log(mu_m^c * rho_cm)
     log_fact = _log_factorials(kmax)
     # Row k, column i: the term c = k + i without its 1/k!, i.e. a_c / i!.
     padded = np.concatenate((log_a, np.full(kmax, NEG_INF)))
@@ -651,13 +648,11 @@ def _count_law_by_moments(tm: TiltedModel, m: int) -> Optional[np.ndarray]:
 def cycle_count_distribution(model: ConstraintModel, m: int) -> np.ndarray:
     """Exact log P[C_m = k] for k = 0..floor(n/m).
 
-    Where mu_m is small and (n/m)^2 <= n, the law is the alternating sum of
-    the factorial moments E[(C_m)_c] = mu_m^c * h_(n-cm) x^(n-cm) / (h_n x^n),
-    read off the model's own table, and it is returned when its certificate
-    holds: each k's sum is at least 1/16 of the sum of its terms' magnitudes
-    (`_count_law_by_moments`). Otherwise, splitting off the z^m term of the
-    exponential gives P[C_m = k] = (theta/m)^k / k! * g_(n-k*m) / h_n where g
-    drops the m-th weight; one more table, the g-table, serves every k.
+    Where mu_m is small and (n/m)^2 <= n, the alternating sum of the factorial
+    moments E[(C_m)_c] = mu_m^c * rho_cm on the model's own table, returned
+    where its certificate holds (`_count_law_by_moments`). Otherwise
+    P[C_m = k] = mu_m^k / k! * rho_km on the g-table, the row without weight
+    m: one more table serves every k.
     """
     if not (1 <= m <= model.alpha):
         raise ConstraintError(f"m must satisfy 1 <= m <= alpha={model.alpha}, got {m}")
@@ -665,28 +660,17 @@ def cycle_count_distribution(model: ConstraintModel, m: int) -> np.ndarray:
     law = _count_law_by_moments(tm, m)
     if law is not None:
         return law
-    row = WeightArray.for_model(model).replace(m, 0.0)
-    if row.is_degenerate:  # alpha = m = 1: the g-row is empty, so g_0 = 1 and g_k = 0 after
-        log_g = np.full(model.n + 1, NEG_INF)
-        log_g[0] = 0.0
-    else:
-        log_g = egf_coefficients(row, model.n, tilt=tm.x).log_tilted_values
-    kmax = model.n // m
-    k = np.arange(kmax + 1)
-    r = model.n - k * m
-    log_g = log_g[r] - r * math.log(tm.x)  # g_(n-km) untilted, as CoefficientTable.log_coefficient
-    log_hn = tm.table.log_coefficient(model.n)
-    return k * math.log(model.theta / m) - _log_factorials(kmax) + log_g - log_hn
+    k = np.arange(model.n // m + 1)
+    log_rho = tm.log_ratio(WeightArray.for_model(model).replace(m, 0.0), k * m)
+    return k * math.log(tm.mu[m - 1]) - _log_factorials(len(k) - 1) + log_rho
 
 
 def expected_cycle_count(model: ConstraintModel, m: int) -> float:
-    """Exact E[C_m] = (theta/m) * h_(n-m)/h_n."""
+    """Exact E[C_m] = mu_m * rho_m = (theta/m) * h_(n-m)/h_n."""
     if not (1 <= m <= model.alpha):
         raise ConstraintError(f"m must satisfy 1 <= m <= alpha={model.alpha}, got {m}")
-    table = TiltedModel.for_model(model).table
-    return (model.theta / m) * math.exp(
-        table.log_coefficient(model.n - m) - table.log_coefficient(model.n)
-    )
+    tm = TiltedModel.for_model(model)
+    return float(tm.mu[m - 1]) * math.exp(tm.log_ratio(None, m))
 
 
 def longest_cycle_cdf(model: ConstraintModel, m: int) -> float:
@@ -695,7 +679,7 @@ def longest_cycle_cdf(model: ConstraintModel, m: int) -> float:
     m = alpha gives 1 with no table. m = alpha - 1 is P[C_alpha = 0], entry 0
     of `cycle_count_distribution(model, alpha)`, and takes its path: the
     factorial-moment series where it is certified, the g-table otherwise.
-    Narrower caps build the capped table h^(<=m).
+    Narrower caps read rho_0 of the capped row h^(<=m).
     """
     if not (0 <= m <= model.alpha):
         raise ConstraintError(f"m must satisfy 0 <= m <= alpha={model.alpha}, got {m}")
@@ -706,15 +690,14 @@ def longest_cycle_cdf(model: ConstraintModel, m: int) -> float:
     if m == model.alpha - 1:
         return math.exp(cycle_count_distribution(model, model.alpha)[0])
     tm = TiltedModel.for_model(model)
-    capped = egf_coefficients(WeightArray.constant(model.theta, m), model.n, tilt=tm.x)
-    return math.exp(capped.log_coefficient(model.n) - tm.table.log_coefficient(model.n))
+    return math.exp(tm.log_ratio(WeightArray.constant(model.theta, m), 0))
 
 
 def mgf_Cm(model: ConstraintModel, m: int, s: float, mode: str = "exact") -> float:
     """E[exp(s * C_m)] under the constrained measure.
 
-    exact:  h-table of the row with q_m = theta e^s over the model's h-table,
-            both at the unperturbed tilt so they share one scale.
+    exact:  rho_0 of the row with q_m = theta e^s: its table over the model's
+            h-table, both at the unperturbed tilt so they share one scale.
     approx: ratio of the two leading saddle-point terms (s >= 0, matching the
             regime the approximation is proved in).
 
@@ -723,9 +706,7 @@ def mgf_Cm(model: ConstraintModel, m: int, s: float, mode: str = "exact") -> flo
     """
     q_pert = _perturbed_row(model, m, s)
     if mode == "exact":
-        tm = TiltedModel.for_model(model)
-        num = egf_coefficients(q_pert, model.n, tilt=tm.x).log_tilted(model.n)
-        log_ratio = num - tm.table.log_tilted(model.n)
+        log_ratio = TiltedModel.for_model(model).log_ratio(q_pert, 0)
     elif mode == "approx":
         if s < 0:
             raise ConstraintError("approx mode is stated for s >= 0")

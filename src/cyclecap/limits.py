@@ -15,9 +15,10 @@ The three regimes are driven by mu_alpha = theta * x^alpha / alpha:
     tightness estimate E[(P_t-P_t1)^2 (P_t2-P_t)^2].
 
 Every battery refuses to run when the exact finite-n mu_alpha contradicts its
-theorem's hypothesis (classification thresholds are the caller's; defaults
-(0.1, 10)). Finite-n comparisons always use the exact mu_alpha, which is the
-better-calibrated parameter at any fixed n and converges to the limiting one.
+theorem's hypothesis, as classified by `saddle.regime_report` at its default
+thresholds (0.1, 10). Finite-n comparisons always use the exact mu_alpha,
+which is the better-calibrated parameter at any fixed n and converges to the
+limiting one.
 
 The limits are statements along n, and a battery run at one fixed n measures
 the finite-n law. In the vanishing regime that law differs from a rate-1
@@ -61,6 +62,7 @@ from .sampler import sample_lengths
 
 _SIGNIFICANCE = 0.001
 _MIN_EXPECTED = 5.0
+_EXACT_LAW_MAX_N = 10_000  # clt_battery adds the exact law's KS distance up to this n
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +175,13 @@ def gamma_floor_pmf(k: int, mu_value: float, d: int) -> float:
     return float(special.gammaincc(k, d * mu_value) - special.gammaincc(k, (d + 1) * mu_value))
 
 
-def _require_regime(model: ConstraintModel, wanted: str, thresholds=(0.1, 10.0)) -> float:
+def _require_regime(model: ConstraintModel, wanted: str) -> float:
     """The exact mu_alpha, once the model classifies as the wanted regime."""
-    report = regime_report(model, thresholds)
+    report = regime_report(model)
     if report.classification != wanted:
         raise RegimeError(
             f"battery needs the {wanted} regime; mu_alpha = {report.mu_alpha:.6g} "
-            f"classifies as {report.classification} at thresholds {thresholds}"
+            f"classifies as {report.classification} at thresholds {report.thresholds}"
         )
     return report.mu_alpha
 
@@ -563,14 +565,13 @@ def clt_battery(
     n_samples: int,
     seed: int = 0,
     mu_threshold: float = 5.0,
-    exact_law_max_n: int = 10_000,
     samples: Optional[Sequence] = None,
 ) -> CLTReport:
     """Standard-normal checks for standardized m-cycle counts.
 
     Per m: KS of (C_m - mu_m)/sqrt(mu_m) against N(0,1) over Monte Carlo
     samples; the empirical mean of (C_m - E[C_m])/sqrt(mu_m) with its
-    3/sqrt(n_samples) band (E[C_m] exact); for n <= exact_law_max_n also the
+    3/sqrt(n_samples) band (E[C_m] exact); for n <= _EXACT_LAW_MAX_N also the
     KS distance of the exact standardized law. Pairs of distinct m report the
     empirical correlation of the standardized counts (limit: 0). Every m must
     satisfy mu_m >= mu_threshold (the divergence hypothesis proxy).
@@ -606,7 +607,7 @@ def clt_battery(
         std_cols[:, jm] = std
         ks_stat, ks_pvalue = ks_two_sided(std, special.ndtr)
         mean_dev = float(np.mean((counts[:, jm] - exact_mean) / math.sqrt(mu_m)))
-        exact_ks = exact_standardized_ks(model, m) if model.n <= exact_law_max_n else None
+        exact_ks = exact_standardized_ks(model, m) if model.n <= _EXACT_LAW_MAX_N else None
         entries.append(
             CLTEntry(
                 m=m,

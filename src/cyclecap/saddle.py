@@ -79,18 +79,16 @@ class RegimeReport:
 
 @dataclass(frozen=True)
 class FunctionProbe:
-    """A prefactor f described by value/derivative evaluators (complex-capable)."""
+    """A prefactor f of a coefficient [z^n] f(z) e^g(z), given by its value at the tilt."""
 
     value: Callable
-    derivative: Callable
-    name: str = "f"
 
 
-CONSTANT_ONE = FunctionProbe(value=lambda z: 1.0, derivative=lambda z: 0.0, name="1")
+CONSTANT_ONE = FunctionProbe(value=lambda z: 1.0)
 
 
 def power_probe(r: int) -> FunctionProbe:
-    return FunctionProbe(value=lambda z: z**r, derivative=lambda z: r * z ** (r - 1), name=f"z^{r}")
+    return FunctionProbe(value=lambda z: z**r)
 
 
 def _log_f_at(logq: np.ndarray, j: np.ndarray, t: float) -> float:
@@ -240,46 +238,22 @@ class AdmissibilityReport:
     log_n_over_alpha: float
     saddle_ratio: float
     lambda2_over_n_alpha: float
-    min_tail_weight: float
-    probe_norm: float
     x: float
 
 
-def admissibility_report(
-    sol: SaddleSolution,
-    f_probe: Optional[FunctionProbe] = None,
-    b: int = 0,
-    phi_grid: int = 41,
-) -> AdmissibilityReport:
-    """Ratios alpha*log(x)/log(n/alpha), lambda_2/(n*alpha), tail min q_j, |||f|||_n.
+def admissibility_report(sol: SaddleSolution) -> AdmissibilityReport:
+    """Ratios alpha*log(x)/log(n/alpha) and lambda_2/(n*alpha), with x itself.
 
-    Read at the solved tilt sol of the row sol.q with target sol.n. The probe
-    norm is delta * sup_{|phi| <= delta} |f'(x e^(i phi))| / |f(x)| with
-    delta = n^(-5/12) alpha^(-7/12), the sup taken over a uniform grid of
-    phi_grid points (engineering choice; the probes in scope are smooth).
+    Read at the solved tilt sol of the row sol.q with target sol.n.
     """
-    q, n = sol.q, sol.n
-    alpha = q.alpha
+    n, alpha = sol.n, sol.q.alpha
     alpha_log_x = alpha * math.log(sol.x)
     log_ratio = math.log(n / alpha) if n > alpha else float("nan")
-    lambda2 = sol.lambda_value(2)
-    tail = q.q[b:] if b < alpha else q.q[-1:]
-    probe = f_probe if f_probe is not None else CONSTANT_ONE
-    delta = n ** (-5.0 / 12.0) * alpha ** (-7.0 / 12.0)
-    f_at_x = abs(probe.value(sol.x))
-    if f_at_x == 0:
-        norm = float("inf")
-    else:
-        phis = np.linspace(-delta, delta, phi_grid)
-        sup = max(abs(probe.derivative(sol.x * complex(math.cos(p), math.sin(p)))) for p in phis)
-        norm = delta * sup / f_at_x
     return AdmissibilityReport(
         alpha_log_x=alpha_log_x,
         log_n_over_alpha=log_ratio,
         saddle_ratio=alpha_log_x / log_ratio if log_ratio and not math.isnan(log_ratio) else float("nan"),
-        lambda2_over_n_alpha=lambda2 / (n * alpha),
-        min_tail_weight=float(np.min(tail)),
-        probe_norm=norm,
+        lambda2_over_n_alpha=sol.lambda_value(2) / (n * alpha),
         x=sol.x,
     )
 

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from cyclecap.errors import (
     ConstraintError,
-    DegenerateWeightsError,
     DomainError,
     NumericalError,
     SizeGuardError,
 )
 import cyclecap.exact as exact
 from cyclecap.exact import (
-    CoefficientTable,
     TiltedModel,
     brute_force_distribution,
     chernoff_tail_bound,
@@ -29,7 +27,7 @@ from cyclecap.exact import (
     mgf_Cm,
     partition_function,
 )
-from cyclecap.model import AlphaRule, ConstraintModel, CycleType, WeightArray
+from cyclecap.model import AlphaRule, ConstraintModel, WeightArray
 from cyclecap.sampler import sample_lengths
 from cyclecap.saddle import solve_saddle
 from oracles import (
@@ -42,6 +40,7 @@ from oracles import (
     poisson_pmf,
     prefix_distribution,
     tv_to_poisson_prefix,
+    weighted_counts,
 )
 
 THETAS = [0.5, 1.0, 2.0]
@@ -720,11 +719,12 @@ class TestCountLawPath:
         assert calls == [alpha]
         assert longest_cycle_cdf(model, alpha) == 1.0
         assert calls == [alpha]
+        # mu_m^k / k! * rho_km, rho read from the g-table and the h-table at one tilt
         tm = TiltedModel.for_model(model)
         g = egf_coefficients(WeightArray.for_model(model).replace(alpha, 0.0), n, tilt=tm.x)
-        log_hn = tm.table.log_coefficient(n)
+        log_g, log_h = g.log_tilted_values, tm.table.log_tilted_values
         formula = [
-            k * math.log(1.0 / alpha) - math.lgamma(k + 1) + g.log_coefficient(n - k * alpha) - log_hn
+            k * math.log(tm.mu[alpha - 1]) - math.lgamma(k + 1) + (log_g[n - k * alpha] - log_h[n])
             for k in range(n // alpha + 1)
         ]
         assert np.array_equal(law, formula)
@@ -745,6 +745,32 @@ class TestExpectedCycleCount:
         model = ConstraintModel(n=60, alpha=9, theta=0.7)
         total = sum(m * expected_cycle_count(model, m) for m in range(1, 10))
         assert total == pytest.approx(60.0, rel=1e-10)
+
+
+class TestRatioDigits:
+    """Laws read as mu-factors times one tilted ratio, against exact integers.
+
+    With A_k = k! h_k from the integer recurrence, E[C_m] = A_(n-m) n!/(n-m)! /
+    (m A_n) and P[longest <= m] = A_n^(<=m) / A_n at theta = 1, each a ratio
+    of integers that Python rounds correctly.
+    """
+
+    @pytest.mark.parametrize("n,alpha", [(2000, 12), (3000, 10)])
+    def test_expected_counts(self, n, alpha):
+        model = ConstraintModel(n=n, alpha=alpha, theta=1.0)
+        a = weighted_counts(n, (1,) * alpha)
+        for m in range(1, alpha + 1):
+            want = a[n - m] * math.perm(n, m) / (m * a[n])
+            assert expected_cycle_count(model, m) == pytest.approx(want, rel=1e-13, abs=0.0), f"m = {m}"
+
+    def test_longest_cycle_cdf(self):
+        # P[longest <= m] for m = 5..7 lies below double range, so those read 0.
+        n, alpha = 3000, 10
+        model = ConstraintModel(n=n, alpha=alpha, theta=1.0)
+        a_n = weighted_counts(n, (1,) * alpha)[n]
+        for m in range(5, alpha):
+            want = weighted_counts(n, (1,) * m)[n] / a_n
+            assert longest_cycle_cdf(model, m) == pytest.approx(want, rel=2e-14, abs=0.0), f"m = {m}"
 
 
 class TestLongestCycleCdf:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclecap.errors import ConfigError, ConstraintError, DomainError, StructuralError
+from cyclecap.errors import ConfigError, StructuralError
 from cyclecap.model import (
     AlphaRule,
     ConstraintModel,

@@ -170,8 +170,6 @@ class TestAdmissibility:
         assert rep.alpha_log_x > 0
         assert rep.saddle_ratio > 0
         assert 0 < rep.lambda2_over_n_alpha < 2
-        assert rep.min_tail_weight > 0
-        assert np.isfinite(rep.probe_norm)
 
 
 class TestMgf:
