@@ -33,26 +33,31 @@ blocks advance in panels of P = 96, after van der Hoeven's relaxed
 multiplication ("Relax, but don't be too lazy", JSC 2002): the terms that
 coefficients older than a panel carry into its blocks are a Toeplitz middle
 product of the weights with the panel's old window (Hanrot, Quercia &
-Zimmermann, "The middle product algorithm I", AAECC 2004), which one FFT of a
-5-smooth length gives in O(alpha log alpha) rather than P*B*alpha
-multiply-adds. Each block then adds only the terms of the panel's earlier
-blocks, at most P*B columns of M.
+Zimmermann, "The middle product algorithm I", AAECC 2004). Consecutive
+panels' windows share all but S = P*B entries, so the product is partitioned
+(Stockham, "High-speed convolution and correlation", AFIPS 1966): the
+weights are cut once per table into m = ceil(alpha/S) overlapping segments
+of 2S, each chunk of S coefficients is transformed once, when the panel after
+it starts, and a panel's older terms are one inverse FFT of the sum of m
+segment-times-chunk spectra, all at length L = 2S = 3072. That is O(alpha +
+S log S) per panel rather than P*B*alpha multiply-adds. Each block then adds
+only the terms of the panel's earlier blocks, at most P*B columns of M.
 
-The FFT's rounding is relative to |w|*|u|, not to each output, so it is taken
-only under a certificate: every term is nonnegative, and the FFT's bound
-c*eps*log2(L)*|w|_2*|u|_2 must lie below alpha*eps*min_t y_t, the worst case
-of the alpha-term dot products it replaces. With c = 8 the largest error
-measured uses under a thirtieth of the bound. A panel that fails it (windows
-with true zeros among the outputs, or spanning many orders, and the first
-panel, whose window holds h_0 alone) runs its blocks as narrower caps run
-every block, one matrix-vector product each.
+The FFT's rounding is relative to the norms, not to each output, so it is
+taken only under a certificate: every term is nonnegative, and the bound
+c*eps*(log2(L) + m)*sum_d |v_d|_2*|c_(p-d)|_2, summed over segments v_d and
+the chunks c they meet, must lie below alpha*eps*min_t y_t, the worst case of
+the alpha-term dot products it replaces. With c = 8 the largest error
+measured uses under a fiftieth of the bound. A panel that fails it
+(windows with true zeros among the outputs, or spanning many orders) runs its
+blocks as narrower caps run every block, one matrix-vector product each.
 
 Once per block, if the block leaves [2^-256, 2^256], the active window (the
 last alpha entries) is rescaled by a power of two, which is exact, together
-with the panel's partial sums for its later blocks, and the exponent is
-recorded for the stored logs. Per-step relative error is a few ulps and
-accumulates additively, so even k = 10^6 stays well inside the 1e-10
-recurrence contract. Exact zeros stay exact.
+with the panel's partial sums for its later blocks and the ring of chunk
+spectra, and the exponent is recorded for the stored logs. Per-step
+relative error is a few ulps and accumulates additively, so even k = 10^6
+stays well inside the 1e-10 recurrence contract. Exact zeros stay exact.
 
 The kernel raises NumericalError instead of returning a damaged table: when a
 block overflows, when a rescale would push a nonzero entry below the normal
@@ -110,11 +115,12 @@ _BLOCK = 16  # indices advanced per Python step
 _CHUNK = 256  # blocks whose in-block inverses are built together
 _PANEL = 96  # blocks per panel on wide caps
 _PANEL_MIN_ALPHA = 4096  # narrower caps advance one block per panel
-_FFT_C = 8.0  # c of the FFT certificate; measured errors stay below c/30 of its bound
+_FFT_C = 8.0  # c of the FFT certificate; measured errors stay below a fiftieth of its bound
 _KAPPA = 16.0  # largest cancellation the factorial-moment series of a law may show
 _RESCALE_HI = 2.0**256  # a block above this (or below its inverse) triggers a rescale
 _RESCALE_LO = 2.0**-256
 _TINY = np.finfo(float).tiny  # smallest normal double
+_EXP_ZERO = -750.0  # exp of anything below this is 0.0 in double
 _EPS = np.finfo(float).eps
 _LN2 = math.log(2.0)
 _BRUTE_FORCE_MAX_N = 12
@@ -182,63 +188,91 @@ def _panel_blocks(alpha: int) -> int:
     return _PANEL if alpha >= _PANEL_MIN_ALPHA else 1
 
 
-def _smooth_length(n: int) -> int:
-    """The least L >= n of the form 2^a 3^b 5^c, a length pocketfft transforms fast."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
+def _norm(v: np.ndarray) -> float:
+    """|v|_2 of a nonnegative vector, scaled so that tiny entries cannot underflow it."""
+    top = v.max(initial=0.0)
+    return top * math.sqrt(np.dot(v / top, v / top)) if top > 0 else 0.0
 
 
 class _MiddleProduct:
-    """A panel's older terms from one FFT middle product, where it is certified.
+    """A panel's older terms from a partitioned FFT middle product, where it is certified.
 
-    The panel's old window u = buf[K0 : K0+alpha] holds the alpha coefficients
-    before the panel. The middle product y_t = sum_s w_{alpha+t-s} u_s =
-    (w * u)_{alpha-1+t}, with w_j = 0 past alpha, is the sum of the terms they
-    carry into index K0+t, so y[c*B : (c+1)*B] is their share of the panel's
-    block c. One cyclic convolution of length L >= alpha + outputs - 1 gives
-    every output used without wrap-around.
+    With S = P*B entries per panel, panel p computes G_k for k = pS+1..(p+1)S,
+    and chunk j holds G_k for k = (j-1)S+1..jS (G_k = 0 for k < 0), the entries
+    that panel j-1 finished. With w_j = 0 outside 1..alpha, the weights are cut
+    into m = ceil(alpha/S) overlapping segments v_d = w[dS : dS+2S]. The terms
+    that chunk p-d carries into index pS+1+t of panel p are
+    sum_s v_d[S+t-s] c_s, output S+t of the cyclic convolution of v_d and the
+    chunk at length L = 2S, into which no used output wraps. Chunks older than
+    p-m+1 reach no output of panel p. So each segment is transformed once per
+    table, each chunk once, when the panel after it starts, into a ring of m
+    chunk spectra, and a panel's older terms are one irfft of
+    sum_d V_d C_(p-d) (uniformly partitioned convolution: Stockham, AFIPS 1966).
     """
 
-    def __init__(self, w: np.ndarray, outputs: int):
+    def __init__(self, w: np.ndarray, S: int):
         self.alpha = len(w)
-        self.L = _smooth_length(self.alpha + outputs - 1)
-        self.w_hat = np.fft.rfft(w, self.L)
-        top = w.max()  # scaled, so that tiny weights do not underflow the norm
-        self.w_norm = top * math.sqrt(np.dot(w / top, w / top)) if top > 0 else 0.0
+        self.S = S
+        self.L = 2 * S
+        self.m = m = -(-self.alpha // S)
+        padded = np.zeros((m + 1) * S)
+        padded[1 : self.alpha + 1] = w
+        segments = sliding_window_view(padded, self.L)[::S]
+        self.v_hat = np.fft.rfft(segments, axis=1)
+        self.v_norms = np.array([_norm(v) for v in segments])
+        # Chunk p sits at slot (-p) mod m, so the chunk at lag d from the
+        # current panel's is at slot (slot + d) mod m.
+        self.ring = np.zeros((m, S + 1), dtype=complex)
+        self.c_norms = np.zeros(m)
+        self.slot = 0
 
-    def error_bound(self, u: np.ndarray) -> float:
-        """c*eps*log2(L)*(|w|*|u| + L*tiny): the FFT product's rounding in any output.
+    def _push(self, buf: np.ndarray, K0: int) -> None:
+        """Transform the chunk before the panel at K0, buf[alpha+K0-S : alpha+K0], into the ring."""
+        lo = self.alpha + K0 - self.S
+        chunk = buf[max(lo, 0) : self.alpha + K0]
+        if lo < 0:  # chunk 0 starts before the buffer's leading zeros; G is zero there too
+            chunk = np.concatenate((np.zeros(-lo), chunk))
+        self.slot = -((K0 - 1) // self.S) % self.m
+        self.ring[self.slot] = np.fft.rfft(chunk, self.L)
+        self.c_norms[self.slot] = _norm(chunk)
 
-        The normwise bound of the transforms (Higham, Accuracy and Stability,
-        section 24.1), plus an absolute floor for products that underflow.
+    def error_bound(self) -> float:
+        """A bound on the current panel's rounding in any output of its older terms.
+
+        Each segment's cyclic convolution is off by at most
+        c*eps*log2(L)*|v_d|_2*|c_(p-d)|_2 (the normwise bound of the transforms,
+        Higham, Accuracy and Stability, section 24.1); summing m products in the
+        frequency domain adds (m-1)*eps times the sum of their magnitudes, which
+        maps to at most (m-1)*eps*sum_d |v_d||c_(p-d)| in any output. The
+        absolute floor covers products and ring spectra pushed below normal.
         """
-        norms = self.w_norm * math.sqrt(np.dot(u, u)) + self.L * _TINY
-        return _FFT_C * _EPS * math.log2(self.L) * norms
+        norms = float(np.dot(self.v_norms, np.roll(self.c_norms, -self.slot)))
+        floor = self.L * _TINY * (1.0 + float(self.v_norms.sum()))
+        return _FFT_C * _EPS * (math.log2(self.L) + self.m) * norms + floor
 
     def older_terms(self, buf: np.ndarray, K0: int, blocks: int):
-        """y as `blocks` rows of B, or None where the certificate fails.
+        """The older terms of the panel at K0 as `blocks` rows of B, or None where uncertified.
 
-        An alpha-term dot product of nonnegative terms is off by at most
-        alpha*eps times its value; the FFT result is taken only when its
+        Called once per panel, in order: it first pushes the chunk the previous
+        panel finished. An alpha-term dot product of nonnegative terms is off by
+        at most alpha*eps times its value; the FFT result is taken only when its
         bound is below that at every output.
         """
-        u = buf[K0 : K0 + self.alpha]
-        y = np.fft.irfft(np.fft.rfft(u, self.L) * self.w_hat, self.L)
-        y = y[self.alpha - 1 : self.alpha - 1 + blocks * _BLOCK]
+        self._push(buf, K0)
+        spectrum = self.v_hat[0] * self.ring[self.slot]
+        term = np.empty_like(spectrum)
+        for d in range(1, self.m):  # one row at a time: no m-row temporary
+            spectrum += np.multiply(self.v_hat[d], self.ring[(self.slot + d) % self.m], out=term)
+        y = np.fft.irfft(spectrum, self.L)[self.S : self.S + blocks * _BLOCK]
         low = y.min()
-        if low > 0.0 and self.error_bound(u) <= self.alpha * _EPS * low:
+        if 0.0 < low < math.inf and self.error_bound() <= self.alpha * _EPS * low:
             return y.reshape(blocks, _BLOCK)
         return None
+
+    def rescale(self, e: int) -> None:
+        """Scale the ring by 2^-e with the window it was taken from."""
+        np.ldexp(self.ring.view(float), -e, out=self.ring.view(float))
+        np.ldexp(self.c_norms, -e, out=self.c_norms)
 
 
 def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
@@ -304,6 +338,8 @@ def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
                 if small.any() and np.any(window[small] > 0.0):
                     raise NumericalError("the DP window spans more than double range")
                 np.ldexp(window, -e, out=window)
+                if fft is not None:
+                    fft.rescale(e)
                 if R is not None:
                     # The panel's later rows were summed at the old scale. A row
                     # pushed below normal is off by under 2^-1074, less than an
@@ -513,9 +549,13 @@ def compound_poisson_pmf(means: Sequence[float], N: int) -> CompoundPoissonDist:
     # At tilt 1 the stored logs are log(e^M p_k), retilted where the DP needs it.
     table = egf_coefficients(WeightArray(np.arange(1, len(mu) + 1) * mu), N)
     log_pmf = table.log_tilted_values - M
+    return CompoundPoissonDist(log_pmf_values=log_pmf, means=mu, tail_mass=_tail_mass(log_pmf))
+
+
+def _tail_mass(log_pmf: np.ndarray) -> float:
+    """1 - sum_k exp(log_pmf[k]), clamped at 0."""
     total = log_sum_exp_value(log_pmf)
-    tail = -math.expm1(total) if total < 0 else 0.0
-    return CompoundPoissonDist(log_pmf_values=log_pmf, means=mu, tail_mass=max(tail, 0.0))
+    return max(-math.expm1(total), 0.0) if total < 0 else 0.0
 
 
 def joint_cycle_count_logpmf(model: ConstraintModel, prefix: Sequence[int]) -> LogReal:
@@ -557,7 +597,8 @@ def exact_tv_distance(model: ConstraintModel, b: int) -> TVReport:
     The sum runs over r = 0..n; mass of T_0b beyond n contributes with full
     clamp 1 (those r force an impossible remainder). b = 0 compares empty
     vectors and gives 0. The ratio is e^(sum_{j<=b} mu_j) * rho_r on the row
-    without weights 1..b; the head P[T_0b = r] is `compound_poisson_pmf`.
+    without weights 1..b; the head P[T_0b = r] is `compound_poisson_pmf`, built
+    only up to `_head_length`, past which every term is 0.0 in double.
     """
     if not (0 <= b <= model.alpha):
         raise ConstraintError(f"need 0 <= b <= alpha={model.alpha}, got b={b}")
@@ -565,15 +606,41 @@ def exact_tv_distance(model: ConstraintModel, b: int) -> TVReport:
         return TVReport(b=0, tv=0.0, terms_summed=0)
     tm = TiltedModel.for_model(model)
     n = model.n
-    head = compound_poisson_pmf(tm.mu[:b], n)
+    log_head = np.full(n + 1, NEG_INF)
+    N_head = _head_length(tm.mu[:b], n)
+    log_head[: N_head + 1] = compound_poisson_pmf(tm.mu[:b], N_head).log_pmf_values
+    tail = _tail_mass(log_head)
     rest = WeightArray(np.where(np.arange(1, model.alpha + 1) > b, model.theta, 0.0))
     log_rho = tm.log_ratio(rest, np.arange(n + 1))
     with np.errstate(over="ignore"):
         ratio = np.exp(float(np.sum(tm.mu[:b])) + log_rho)
     clamp = np.clip(1.0 - ratio, 0.0, 1.0)
     with np.errstate(under="ignore"):
-        tv = float(np.dot(np.exp(head.log_pmf_values), clamp)) + head.tail_mass
+        tv = float(np.dot(np.exp(log_head), clamp)) + tail
     return TVReport(b=b, tv=min(max(tv, 0.0), 1.0), terms_summed=n + 1)
+
+
+def _head_length(means: np.ndarray, n: int) -> int:
+    """The least N <= n for which `chernoff_tail_bound` puts P[T > N] below e^_EXP_ZERO.
+
+    Every P[T = r] with r > N is then 0.0 once exponentiated, so a table of T
+    up to N, padded with log 0, gives the same doubles as one up to n. Where
+    no N < n is certified (e.g. b = alpha, where E[T] = n) the answer is n.
+    """
+    m = float(np.dot(np.arange(1, len(means) + 1), means))
+
+    def certified(N: int) -> bool:
+        rho = (N + 1) / m if m > 0 else 0.0  # the dropped r are >= N + 1 = rho*m
+        return rho > 1 and chernoff_tail_bound(means, rho).logval < _EXP_ZERO
+
+    lo, hi = -1, n  # certified(hi) or hi == n; not certified(lo) or lo == -1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def chernoff_tail_bound(means: Sequence[float], rho: float) -> LogReal:
@@ -646,7 +713,7 @@ def _count_law_by_moments(tm: TiltedModel, m: int) -> Optional[np.ndarray]:
 
 
 def cycle_count_distribution(model: ConstraintModel, m: int) -> np.ndarray:
-    """Exact log P[C_m = k] for k = 0..floor(n/m).
+    """Exact log P[C_m = k] for k = 0..floor(n/m), as a read-only array.
 
     Where mu_m is small and (n/m)^2 <= n, the alternating sum of the factorial
     moments E[(C_m)_c] = mu_m^c * rho_cm on the model's own table, returned
@@ -656,13 +723,21 @@ def cycle_count_distribution(model: ConstraintModel, m: int) -> np.ndarray:
     """
     if not (1 <= m <= model.alpha):
         raise ConstraintError(f"m must satisfy 1 <= m <= alpha={model.alpha}, got {m}")
-    tm = TiltedModel.for_model(model)
+    return _count_law(model.n, model.alpha, model.theta, m)
+
+
+# One entry, read-only, next to _build_tilted: longest_cycle_cdf at alpha - 1
+# reads entry 0 of the law of C_alpha that a caller has usually just asked for.
+@functools.lru_cache(maxsize=1)
+def _count_law(n: int, alpha: int, theta: float, m: int) -> np.ndarray:
+    tm = _build_tilted(n, alpha, theta)
     law = _count_law_by_moments(tm, m)
-    if law is not None:
-        return law
-    k = np.arange(model.n // m + 1)
-    log_rho = tm.log_ratio(WeightArray.for_model(model).replace(m, 0.0), k * m)
-    return k * math.log(tm.mu[m - 1]) - _log_factorials(len(k) - 1) + log_rho
+    if law is None:
+        k = np.arange(n // m + 1)
+        log_rho = tm.log_ratio(WeightArray.constant(theta, alpha).replace(m, 0.0), k * m)
+        law = k * math.log(tm.mu[m - 1]) - _log_factorials(len(k) - 1) + log_rho
+    law.setflags(write=False)
+    return law
 
 
 def expected_cycle_count(model: ConstraintModel, m: int) -> float:

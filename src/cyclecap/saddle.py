@@ -135,20 +135,30 @@ def solve_saddle(q: WeightArray, n: float) -> SaddleSolution:
         if hi - lo < 1e-3:
             break
     t = 0.5 * (lo + hi)
+    # Near the root g is rounding noise of a few ulps of log n, and Newton can
+    # step between adjacent t forever; there it stops once |g| no longer
+    # shrinks, keeping the better iterate.
+    noise = 4.0 * math.ulp(logn)
+    best_t, best_g = t, math.inf
     for _ in range(_NEWTON_MAX_ITER):
-        g = _log_f_at(logq, j, t) - logn
+        log_f = _log_f_at(logq, j, t)
+        g = log_f - logn
+        if abs(g) >= abs(best_g) and abs(g) <= noise:
+            break
+        best_t, best_g = t, g
         if abs(g) < 1e-15:
             break
         # g'(t) = lambda_2-type mean: sum q j e^(jt) / sum q e^(jt)
-        slope = math.exp(_log_lambda(logq, j, t, 2) - _log_f_at(logq, j, t))
+        slope = math.exp(_log_lambda(logq, j, t, 2) - log_f)
         step = g / slope
         t_new = t - step
         t_new = min(max(t_new, lo), hi)  # stay bracketed
         if t_new == t:
             break
         t = t_new
+    t = best_t
 
-    residual = math.expm1(_log_f_at(logq, j, t) - logn)
+    residual = math.expm1(best_g)
     if abs(residual) > _RESIDUAL_TOL:
         raise NumericalError(f"saddle residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
     log_lambdas = tuple(_log_lambda(logq, j, t, p) for p in range(4))

@@ -325,13 +325,39 @@ class TestPanelKernel:
             exact._log_linear_dp(logw, 3000)
         assert False in fft_verdicts
 
-    def test_fft_serves_every_panel_but_the_first_on_the_benchmark_row(self, fft_verdicts):
-        # The first panel's window holds h_0 alone, so its outputs are the
-        # weights w_1..w_PB, far below |w|: the certificate fails there.
+    def test_fft_serves_every_panel_on_the_benchmark_row(self, fft_verdicts):
+        # The first panel's older terms are w_1..w_PB times h_0; its bound is
+        # summed per segment, so only the first segment's norm enters it.
         n, alpha = 10**5, 17782
         exact._log_linear_dp(saddle_row(n, alpha), n)
         span = exact._panel_blocks(alpha) * exact._BLOCK
-        assert fft_verdicts == [False] + [True] * (-(-n // span) - 1)
+        assert fft_verdicts == [True] * -(-n // span)
+
+    def test_ring_rescaled_inside_certified_panels(self, monkeypatch, fft_verdicts):
+        # A narrow rescale range makes the window, the panel's later rows and
+        # the ring of chunk spectra rescale inside panels whose products are
+        # certified, so later panels read ring entries taken at an older scale.
+        monkeypatch.setattr(exact, "_RESCALE_HI", 2.0**4)
+        monkeypatch.setattr(exact, "_RESCALE_LO", 2.0**-4)
+        rescales = []
+        rescale = exact._MiddleProduct.rescale
+
+        def recording(self, e):
+            rescales.append(e)
+            rescale(self, e)
+
+        monkeypatch.setattr(exact._MiddleProduct, "rescale", recording)
+        alpha, N = exact._PANEL_MIN_ALPHA, 40000
+        for slope in (3e-4, -3e-4):
+            fft_verdicts.clear()
+            rescales.clear()
+            logw = slope * np.arange(1, alpha + 1)
+            got = exact._log_linear_dp(logw, N)
+            assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
+            assert np.all(np.isfinite(got))
+            # At alpha = 4096 the first panel's bound, |v_0| times h_0, passes
+            # alpha*eps*min(w_1..w_S); every later panel is certified.
+            assert len(rescales) >= 2 and all(fft_verdicts[1:])
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, 3.0])
     def test_fft_error_stays_inside_its_certificate(self, monkeypatch, theta):
@@ -349,7 +375,7 @@ class TestPanelKernel:
             R = certified(self, buf, K0, blocks)
             if R is not None:
                 u = buf[K0 : K0 + alpha]
-                unit = self.error_bound(u) / exact._FFT_C
+                unit = self.error_bound() / exact._FFT_C
                 y = R.ravel()
                 for t in [*range(0, len(y), 37), int(np.argmin(y))]:
                     # y_t = sum_{s >= t} w_{alpha+t-s} u_s
@@ -368,17 +394,46 @@ class TestPanelKernel:
         assert np.array_equal(first, exact._log_linear_dp(logw, 10**5))
 
 
-@given(st.integers(min_value=1, max_value=10**4))
-def test_smooth_length_is_the_least_5_smooth_length(n):
-    def smooth(m):
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        return m == 1
+def test_default_panel_transforms_at_3072_points():
+    S = exact._PANEL * exact._BLOCK
+    mp = exact._MiddleProduct(np.ones(17782), S)
+    assert mp.L == 2 * S == 3072 == 2**10 * 3
+    assert mp.m == -(-17782 // S) == 12
 
-    L = exact._smooth_length(n)
-    assert L >= n and smooth(L)
-    assert not any(smooth(m) for m in range(n, L))
+
+@settings(max_examples=40)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=300), st.integers(0, 3))
+def test_segment_layout_gives_every_older_term(P, extra, e):
+    # m = ceil(alpha/S) segments of 2S weights and a ring of m chunk spectra
+    # give, for every panel, y_t = sum_{j > t} w_j G_(K0+t-j), the terms of
+    # the coefficients before the panel; with c = 0 the certificate admits
+    # every positive output. Halfway, buffer and ring are rescaled by 2^-e.
+    B = exact._BLOCK
+    S = P * B
+    alpha = S + extra
+    rng = np.random.default_rng(1000 * P + extra)
+    w = rng.uniform(0.5, 2.0, alpha)
+    mp = exact._MiddleProduct(w, S)
+    assert mp.m == -(-alpha // S) and mp.L == 2 * S
+    padded = np.zeros((mp.m + 1) * S)
+    padded[1 : alpha + 1] = w
+    for d in range(mp.m):
+        v = np.fft.irfft(mp.v_hat[d], mp.L)
+        assert np.allclose(v, padded[d * S : d * S + 2 * S], rtol=0, atol=1e-14)
+    N = 6 * S
+    buf = np.zeros(alpha + N + 1)
+    buf[alpha:] = rng.uniform(0.5, 2.0, N + 1)
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(exact, "_FFT_C", 0.0)
+        for K0 in range(1, N - S + 2, S):
+            if K0 == 1 + 3 * S:
+                np.ldexp(buf, -e, out=buf)
+                mp.rescale(e)
+            R = mp.older_terms(buf, K0, P)
+            assert R is not None
+            G = lambda k: buf[alpha + k]  # noqa: E731
+            direct = [sum(w[j - 1] * G(K0 + t - j) for j in range(t + 1, alpha + 1)) for t in range(S)]
+            assert np.allclose(R.ravel(), direct, rtol=1e-13, atol=0)
 
 
 class TestExtremeWeights:
@@ -568,6 +623,22 @@ class TestExactTV:
             "terms_summed": 65,
         }
 
+    @pytest.mark.parametrize("n,alpha,theta,b", [(10**4, 251, 1.0, 19), (2000, 12, 0.5, 3), (10**4, 10, 1.0, 10)])
+    def test_short_head_gives_the_full_heads_doubles(self, n, alpha, theta, b):
+        # The head is built only up to _head_length; every term past it is 0.0
+        # as a double, so tv equals, bit for bit, the sum over a head up to n.
+        model = ConstraintModel(n=n, alpha=alpha, theta=theta)
+        tm = TiltedModel.for_model(model)
+        N = exact._head_length(tm.mu[:b], n)
+        full = compound_poisson_pmf(tm.mu[:b], n)
+        assert np.all(np.exp(full.log_pmf_values[N + 1 :]) == 0.0)
+        assert (N < n) == (b < alpha)  # at b = alpha the head's mean is n
+        rest = WeightArray(np.where(np.arange(1, alpha + 1) > b, theta, 0.0))
+        ratio = np.exp(float(np.sum(tm.mu[:b])) + tm.log_ratio(rest, np.arange(n + 1)))
+        clamp = np.clip(1.0 - ratio, 0.0, 1.0)
+        expected = float(np.dot(np.exp(full.log_pmf_values), clamp)) + full.tail_mass
+        assert exact_tv_distance(model, b).tv == min(max(expected, 0.0), 1.0)
+
     def test_full_prefix_b_equals_alpha(self):
         # b = alpha: TV between the whole conditioned vector and the product law
         model = ConstraintModel(n=6, alpha=3, theta=1.0)
@@ -683,6 +754,7 @@ class TestCountLawPath:
             return dp(logw, N)
 
         monkeypatch.setattr(exact, "_log_linear_dp", counting_dp)
+        exact._count_law.cache_clear()  # a law cached by an earlier test builds nothing
         return calls
 
     @pytest.mark.parametrize("alpha", [123, 638])
@@ -709,6 +781,17 @@ class TestCountLawPath:
         for part, p in conditioned_distribution(n, alpha, 1.0).items():
             expected[counts_prefix(part, alpha)[alpha - 1]] += p
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_law_of_c_alpha_is_built_once_for_longest_cycle_cdf(self, monkeypatch):
+        # Diverging regime: P[C_alpha = 0] is entry 0 of the law a caller has
+        # just asked for, read from the cached law instead of a second g-table.
+        model = ConstraintModel(n=10**4, alpha=10, theta=1.0)
+        partition_function(model)
+        calls = self.counted_dp(monkeypatch)
+        law = cycle_count_distribution(model, 10)
+        assert longest_cycle_cdf(model, 9) == math.exp(law[0])
+        assert calls == [10]
+        assert not law.flags.writeable
 
     def test_diverging_mu_builds_the_g_table(self, monkeypatch):
         n, alpha = 2000, 12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cyclecap.errors import ConstraintError, DomainError, NumericalError, RegimeError
+import cyclecap.saddle as saddle_module
 from cyclecap.exact import egf_coefficients, expected_cycle_count, mgf_Cm
 from cyclecap.model import ConstraintModel, WeightArray
 from cyclecap.saddle import (
@@ -55,6 +56,20 @@ class TestSolveSaddle:
         sol = solve_saddle(q, 40.0)
         j = np.arange(1, 5)
         assert float((q.q * sol.x**j).sum()) == pytest.approx(40.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n,alpha", [(10**5, 17782), (10**5, 1072)])
+    def test_newton_stops_at_rounding_noise(self, monkeypatch, n, alpha):
+        # Near the root |g| is a few ulps of log n (1.8e-15 at n = 10^5), above
+        # 1e-15, and Newton may step between adjacent tilts; the solve stops
+        # there instead of running out its iterations.
+        calls = []
+        lse = saddle_module.log_sum_exp_value
+        monkeypatch.setattr(saddle_module, "log_sum_exp_value", lambda a: calls.append(1) or lse(a))
+        for p in range(40):
+            calls.clear()
+            sol = solve_saddle(WeightArray.constant(1.0 + p * 2.0**-20, alpha), float(n))
+            assert len(calls) <= 40
+            assert abs(sol.residual) <= 1e-12
 
     @pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf])
     def test_target_outside_0_inf_is_a_domain_error(self, n):
