@@ -355,7 +355,7 @@ class TestPanelKernel:
             got = exact._log_linear_dp(logw, N)
             assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
             assert np.all(np.isfinite(got))
-            # At alpha = 4096 the first panel's bound, |v_0| times h_0, passes
+            # At alpha = 4096 the first panel's bound, |v_0| times h_0, exceeds
             # alpha*eps*min(w_1..w_S); every later panel is certified.
             assert len(rescales) >= 2 and all(fft_verdicts[1:])
 
@@ -431,8 +431,10 @@ def test_segment_layout_gives_every_older_term(P, extra, e):
                 mp.rescale(e)
             R = mp.older_terms(buf, K0, P)
             assert R is not None
-            G = lambda k: buf[alpha + k]  # noqa: E731
-            direct = [sum(w[j - 1] * G(K0 + t - j) for j in range(t + 1, alpha + 1)) for t in range(S)]
+            # buf[alpha + k] holds G_k
+            direct = [
+                sum(w[j - 1] * buf[alpha + K0 + t - j] for j in range(t + 1, alpha + 1)) for t in range(S)
+            ]
             assert np.allclose(R.ravel(), direct, rtol=1e-13, atol=0)
 
 
@@ -623,7 +625,9 @@ class TestExactTV:
             "terms_summed": 65,
         }
 
-    @pytest.mark.parametrize("n,alpha,theta,b", [(10**4, 251, 1.0, 19), (2000, 12, 0.5, 3), (10**4, 10, 1.0, 10)])
+    @pytest.mark.parametrize(
+        "n,alpha,theta,b", [(10**4, 251, 1.0, 19), (2000, 12, 0.5, 3), (10**4, 10, 1.0, 10)]
+    )
     def test_short_head_gives_the_full_heads_doubles(self, n, alpha, theta, b):
         # The head is built only up to _head_length; every term past it is 0.0
         # as a double, so tv equals, bit for bit, the sum over a head up to n.
