@@ -54,12 +54,10 @@ from .limits import (
     tightness_scaling_check,
 )
 from .model import (
-    AlphaRule,
     ConstraintModel,
     CycleType,
     Permutation,
     WeightArray,
-    alpha_of,
     bounded_partitions,
     cycle_type_of,
     ewens_log_weight,
@@ -87,7 +85,7 @@ from .sampler import (
     sample_type_array,
 )
 
-__version__ = "0.1.5"
+__version__ = "0.1.6"
 
 __all__ = [
     "__version__",
@@ -105,8 +103,6 @@ __all__ = [
     "LogReal",
     "log_sum_exp_value",
     # model
-    "AlphaRule",
-    "alpha_of",
     "ConstraintModel",
     "WeightArray",
     "CycleType",

@@ -11,12 +11,15 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4
 regime-guard refusal.
 
 A config file (--config, JSON object of flag names to values) supplies
-defaults; explicit flags override it. List flags (--grid, --s-grid,
---triple) take finite numbers only. --workers is deprecated and will be
-removed in the next release; it is accepted and has no effect: sampling runs
-in one process, since a draw costs far less than the coefficient table each
-worker process would rebuild, and per-index stream derivation makes results
-independent of how a batch is split.
+defaults: each entry is read as the flag --name=value placed ahead of the
+command line, so it is parsed and checked like the flag itself, and an
+explicit flag always wins. A numeric flag takes a JSON number, any other flag
+a JSON string. List flags (--grid, --s-grid, --triple) take finite numbers
+only. --workers is deprecated and will be removed in the next release; it is
+accepted and has no effect: sampling runs in one process, since a draw costs
+far less than the coefficient table each worker process would rebuild, and
+per-index stream derivation makes results independent of how a batch is
+split.
 """
 
 from __future__ import annotations
@@ -88,23 +91,27 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--workers", type=int, default=None, help="deprecated; has no effect")
 
 
-def _apply_config_file(args: argparse.Namespace, parser_defaults: dict):
-    """Fill flags that are still at their parser default from the config file."""
-    if not getattr(args, "config", None):
-        return
+def _config_tokens(path: str, subparser: argparse.ArgumentParser) -> List[str]:
+    """The config file's entries spelled as --flag=value tokens of the subcommand."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config file {args.config}: {e}")
+        raise ConfigError(f"cannot read config file {path}: {e}")
     if not isinstance(file_values, dict):
         raise ConfigError("config file must hold a JSON object of flag values")
+    actions = {a.dest: a for a in subparser._actions if a.option_strings}
+    tokens = []
     for key, value in file_values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"config file key {key!r} is not a flag of this subcommand")
-        if getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, value)
+        numeric = action.type in (int, float)
+        if isinstance(value, bool) or not isinstance(value, (int, float) if numeric else str):
+            kind = "a number" if numeric else "a string"
+            raise ConfigError(f"config file key {key!r} needs {kind}, got {value!r}")
+        tokens.append(f"{action.option_strings[0]}={value}")
+    return tokens
 
 
 def _model_from_args(args) -> ConstraintModel:
@@ -453,15 +460,18 @@ def _build_parser() -> _Parser:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, dispatch, map errors to exit codes (0/2/3/4)."""
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             parser.print_usage(sys.stderr)
             return 2
-        defaults = {
-            a.dest: a.default for a in parser.subcommands[args.command]._actions
-        }
-        _apply_config_file(args, defaults)
+        if args.config:
+            # Config entries go right after the subcommand; argparse keeps the
+            # last value of a flag, so every explicit flag overrides them.
+            i = argv.index(args.command) + 1
+            tokens = _config_tokens(args.config, parser.subcommands[args.command])
+            args = parser.parse_args([*argv[:i], *tokens, *argv[i:]])
         return args.func(args)
     except SystemExit as e:  # argparse --help
         code = e.code if isinstance(e.code, int) else 0

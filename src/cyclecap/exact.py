@@ -449,8 +449,6 @@ class TiltedModel:
 
     @classmethod
     def for_model(cls, model: ConstraintModel) -> "TiltedModel":
-        # Keyed by the triple: an AlphaRule table is a dict, so the model
-        # itself need not be hashable.
         return _build_tilted(model.n, model.alpha, model.theta)
 
     def log_ratio(self, q: Optional[WeightArray], s):
@@ -575,7 +573,7 @@ def joint_cycle_count_logpmf(model: ConstraintModel, prefix: Sequence[int]) -> L
     j = np.arange(1, b + 1)
     r = int(np.dot(j, c))
     if r > model.n:
-        return LogReal.zero()
+        return LogReal(NEG_INF)
     tm = TiltedModel.for_model(model)
     log_poisson = float(np.sum(c * np.log(tm.mu[:b]) - [math.lgamma(ci + 1) for ci in c]))
     rest = WeightArray(np.where(np.arange(1, model.alpha + 1) > b, model.theta, 0.0)) if b else None
@@ -653,7 +651,7 @@ def chernoff_tail_bound(means: Sequence[float], rho: float) -> LogReal:
         raise DomainError(f"rho must be > 1, got {rho}")
     mu = _means_vector(means)
     if np.sum(mu) == 0.0:
-        return LogReal.one()  # T = 0 a.s.; exponent vanishes with m = 0
+        return LogReal(0.0)  # T = 0 a.s.; exponent vanishes with m = 0
     m = float(np.dot(np.arange(1, len(mu) + 1), mu))
     return LogReal(m * (rho - rho * math.log(rho)) / len(mu))
 

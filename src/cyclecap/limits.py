@@ -15,7 +15,7 @@ The three regimes are driven by mu_alpha = theta * x^alpha / alpha:
     tightness estimate E[(P_t-P_t1)^2 (P_t2-P_t)^2].
 
 Every battery refuses to run when the exact finite-n mu_alpha contradicts its
-theorem's hypothesis, as classified by `saddle.regime_report` at its default
+theorem's hypothesis, as classified by `saddle.regime_report` at its
 thresholds (0.1, 10). Finite-n comparisons always use the exact mu_alpha,
 which is the better-calibrated parameter at any fixed n and converges to the
 limiting one.
@@ -30,8 +30,8 @@ resolve O(alpha/n), and the limit theorem shows up as deviations that shrink
 with n. Likewise the normal limit of C_m needs mu_m -> infinity; where mu_m
 stays bounded or falls, the standardized law does not approach N(0,1).
 
-Sample batches are accepted either as CycleType objects or as plain arrays of
-cycle lengths (the memory-light form produced by the sampler for large n).
+A sample batch is a sequence of integer arrays, each the cycle lengths of one
+sample: the form `sampler.sample_lengths` returns.
 
 Every battery validates its samples against the model: each cycle length is
 an integer in 1..alpha and each sample's lengths sum to n.
@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, RegimeError
 from .exact import cycle_count_distribution, expected_cycle_count
-from .model import ConstraintModel, CycleType
+from .model import ConstraintModel
 from .saddle import mu, regime_report, solve_model_saddle
 from .saddle import mu_alpha_of  # noqa: F401  (perfbench/tests check the tracer rebinds it here)
 from .sampler import sample_lengths
@@ -63,16 +63,11 @@ from .sampler import sample_lengths
 _SIGNIFICANCE = 0.001
 _MIN_EXPECTED = 5.0
 _EXACT_LAW_MAX_N = 10_000  # clt_battery adds the exact law's KS distance up to this n
+_CLT_MU_THRESHOLD = 5.0  # clt_battery's proxy for the hypothesis mu_m -> infinity
 
 
 # ---------------------------------------------------------------------------
 # batch top-K and the counting process
-
-
-def _as_lengths(sample) -> np.ndarray:
-    if isinstance(sample, CycleType):
-        return sample.lengths()
-    return np.asarray(sample)
 
 
 def d_cutoff(t: float, mu_alpha: float, alpha: int) -> int:
@@ -102,7 +97,7 @@ def _cutoffs(grid: np.ndarray, mu_alpha: float, alpha: int) -> np.ndarray:
 
 def _flatten(samples: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     """(owner, flat): every cycle length of a batch and the index of its sample."""
-    lengths = [_as_lengths(s) for s in samples]
+    lengths = [np.asarray(s) for s in samples]
     # int32 halves this copy of the batch; a batch never holds 2^31 samples.
     owner = np.repeat(np.arange(len(lengths), dtype=np.int32), [len(x) for x in lengths])
     flat = np.concatenate(lengths) if lengths else np.zeros(0, dtype=np.int64)
@@ -335,10 +330,6 @@ class ProcessBatteryReport:
     ks_longest: Tuple[float, float]
     ks_spacings: Tuple[Tuple[int, float, float], ...]
 
-    @property
-    def significance(self) -> float:
-        return _SIGNIFICANCE
-
 
 def _process_increments(
     samples: Sequence, model: ConstraintModel, d: np.ndarray
@@ -527,7 +518,7 @@ def exact_standardized_ks(model: ConstraintModel, m: int) -> float:
     """KS distance of the exact standardized law of C_m to the standard normal.
 
     The normal limit this distance measures against needs mu_m -> infinity,
-    the hypothesis clt_battery enforces through mu_threshold. This function
+    the hypothesis clt_battery enforces through its mu_m threshold. This function
     does not check it: for m with mu_m -> 0 (such as m = alpha/2 with
     alpha = sqrt(n)) the law of C_m concentrates at 0 and the distance grows
     with n.
@@ -564,7 +555,6 @@ def clt_battery(
     m_list: Sequence[int],
     n_samples: int,
     seed: int = 0,
-    mu_threshold: float = 5.0,
     samples: Optional[Sequence] = None,
 ) -> CLTReport:
     """Standard-normal checks for standardized m-cycle counts.
@@ -573,8 +563,9 @@ def clt_battery(
     samples; the empirical mean of (C_m - E[C_m])/sqrt(mu_m) with its
     3/sqrt(n_samples) band (E[C_m] exact); for n <= _EXACT_LAW_MAX_N also the
     KS distance of the exact standardized law. Pairs of distinct m report the
-    empirical correlation of the standardized counts (limit: 0). Every m must
-    satisfy mu_m >= mu_threshold (the divergence hypothesis proxy).
+    empirical correlation of the standardized counts (limit: 0). The m must be
+    distinct, and every m must satisfy mu_m >= 5 (the divergence hypothesis
+    proxy).
     """
     from scipy import special
 
@@ -582,13 +573,15 @@ def clt_battery(
 
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    if len(set(m_list)) != len(m_list):
+        raise DomainError(f"m_list must not repeat an m, got {list(m_list)}")
     sol = solve_model_saddle(model)
     mus = {}
     for m in m_list:
         mu_m = mu(sol, model.theta, m)
-        if mu_m < mu_threshold:
+        if mu_m < _CLT_MU_THRESHOLD:
             raise RegimeError(
-                f"mu_{m} = {mu_m:.4g} below threshold {mu_threshold}; "
+                f"mu_{m} = {mu_m:.4g} below threshold {_CLT_MU_THRESHOLD}; "
                 "the normal limit needs diverging mu_m"
             )
         mus[m] = mu_m
@@ -635,5 +628,5 @@ def clt_battery(
         n_samples=len(batch),
         entries=tuple(entries),
         correlations=tuple(correlations),
-        mu_threshold=mu_threshold,
+        mu_threshold=_CLT_MU_THRESHOLD,
     )

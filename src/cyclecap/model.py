@@ -2,7 +2,7 @@
 
 The central object is the constraint model (n, alpha, theta): permutations of
 n elements, every cycle of length at most alpha, weighted by theta^(#cycles)
-and normalized. alpha is either given explicitly or produced from n by a rule
+and normalized. alpha is either given explicitly or computed from n as
 alpha = floor(n^beta) with beta in (0,1), clamped to [1, n].
 
 A cycle type is the vector (c_1, ..., c_n) of cycle-length multiplicities with
@@ -16,11 +16,10 @@ i.e. the number of permutations with that type times theta^(#cycles).
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -33,39 +32,12 @@ _FLOOR_EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class AlphaRule:
-    """How alpha was produced from n: an exponent beta, or an explicit table."""
-
-    beta: Optional[float] = None
-    table: Optional[dict] = None
-
-    def __post_init__(self):
-        if (self.beta is None) == (self.table is None):
-            raise ConfigError("AlphaRule needs exactly one of beta / table")
-        if self.beta is not None and not (0.0 < self.beta < 1.0):
-            raise ConfigError(f"alpha exponent beta must lie in (0,1), got {self.beta}")
-
-
-def alpha_of(rule: AlphaRule, n: int) -> int:
-    """alpha(n) under the rule: floor(n^beta) clamped to [1, n]; tables verbatim."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if rule.table is not None:
-        if n not in rule.table:
-            raise ConfigError(f"alpha table has no entry for n={n}")
-        return int(rule.table[n])
-    a = int(math.floor(n ** rule.beta + _FLOOR_EPS))
-    return max(1, min(a, n))
-
-
-@dataclass(frozen=True)
 class ConstraintModel:
-    """The triple (n, alpha, theta) plus the optional rule that produced alpha."""
+    """The triple (n, alpha, theta)."""
 
     n: int
     alpha: int
     theta: float
-    alpha_rule: Optional[AlphaRule] = None
 
     def __post_init__(self):
         # Python and numpy integers have __index__, floats do not; bools are
@@ -84,33 +56,13 @@ class ConstraintModel:
 
     @classmethod
     def from_exponent(cls, n: int, beta: float, theta: float) -> "ConstraintModel":
-        rule = AlphaRule(beta=beta)
-        return cls(n=n, alpha=alpha_of(rule, n), theta=theta, alpha_rule=rule)
-
-    @classmethod
-    def from_json(cls, text) -> "ConstraintModel":
-        """Schema: {"n": int, "beta": float|null, "alpha": int|null, "theta": float}."""
-        obj = json.loads(text) if isinstance(text, str) else dict(text)
-        unknown = set(obj) - {"n", "beta", "alpha", "theta"}
-        if unknown:
-            raise ConfigError(f"unknown model keys {sorted(unknown)}")
-        try:
-            n = int(obj["n"])
-            theta = float(obj["theta"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"model JSON needs integer n and real theta: {e}")
-        beta = obj.get("beta")
-        alpha = obj.get("alpha")
-        if (beta is None) == (alpha is None):
-            raise ConfigError("exactly one of beta/alpha must be present")
-        if beta is not None:
-            return cls.from_exponent(n, float(beta), theta)
-        return cls(n=n, alpha=int(alpha), theta=theta)
-
-    def to_json(self) -> dict:
-        if self.alpha_rule is not None and self.alpha_rule.beta is not None:
-            return {"n": self.n, "beta": self.alpha_rule.beta, "theta": self.theta}
-        return {"n": self.n, "alpha": self.alpha, "theta": self.theta}
+        """The model with alpha = floor(n^beta), clamped to [1, n]."""
+        if not (0.0 < beta < 1.0):
+            raise ConfigError(f"alpha exponent beta must lie in (0,1), got {beta}")
+        if n < 1:
+            raise ConfigError(f"n must be >= 1, got {n}")
+        alpha = int(math.floor(n**beta + _FLOOR_EPS))
+        return cls(n=n, alpha=max(1, min(alpha, n)), theta=theta)
 
 
 @dataclass(frozen=True)
@@ -157,18 +109,8 @@ class CycleType:
 
     __slots__ = ("n", "_key")
 
-    def __init__(self, n: int, counts=None, pairs=None):
+    def __init__(self, n: int, pairs):
         self.n = int(n)
-        if counts is not None:
-            dense = np.asarray(counts, dtype=np.int64)
-            if len(dense) != self.n:
-                raise StructuralError(f"counts vector must have length n={self.n}")
-            idx = np.flatnonzero(dense)
-            pairs = zip((idx + 1).tolist(), dense[idx].tolist())
-        elif pairs is None:
-            raise StructuralError("CycleType needs counts or pairs")
-        elif isinstance(pairs, Mapping):
-            pairs = pairs.items()
         self._key = tuple(sorted({int(j): int(c) for j, c in pairs if c}.items()))
         total = sum(j * c for j, c in self._key)
         if total != self.n:
@@ -177,19 +119,9 @@ class CycleType:
             raise StructuralError("cycle type entries out of range")
 
     @classmethod
-    def from_parts(cls, parts, n: Optional[int] = None) -> "CycleType":
-        parts = list(parts)
-        n = sum(parts) if n is None else n
-        pairs = {}
-        for j in parts:
-            pairs[j] = pairs.get(j, 0) + 1
-        return cls(n, pairs=pairs.items())
-
-    @classmethod
-    def from_lengths(cls, lengths: np.ndarray, n: Optional[int] = None) -> "CycleType":
+    def from_lengths(cls, lengths: np.ndarray) -> "CycleType":
         js, cs = np.unique(np.asarray(lengths, dtype=np.int64), return_counts=True)
-        n = int(np.sum(lengths)) if n is None else n
-        return cls(n, pairs=zip(js.tolist(), cs.tolist()))
+        return cls(int(np.sum(lengths)), pairs=zip(js.tolist(), cs.tolist()))
 
     def count(self, j: int) -> int:
         return dict(self._key).get(j, 0)
@@ -202,19 +134,6 @@ class CycleType:
         """Cycle lengths with multiplicity, ascending."""
         js = np.array([j for j, _ in self._key], dtype=np.int64)
         return np.repeat(js, [c for _, c in self._key])
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.n, dtype=np.int64)
-        for j, c in self._key:
-            dense[j - 1] = c
-        return dense
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(c for _, c in self.items())
-
-    def is_admissible(self, alpha: int) -> bool:
-        return all(j <= alpha for j, _ in self.items())
 
     def key(self) -> tuple:
         return self._key
@@ -245,10 +164,6 @@ class Permutation:
         if not seen.all():
             raise StructuralError("mapping is not a bijection")
         self.image = img
-
-    @classmethod
-    def from_one_based(cls, image) -> "Permutation":
-        return cls(np.asarray(image, dtype=np.int64) - 1)
 
     @property
     def n(self) -> int:

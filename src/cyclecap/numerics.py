@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 NEG_INF = float("-inf")
 
 
@@ -28,46 +26,6 @@ class LogReal:
     """A nonnegative real stored as its natural logarithm; -inf encodes zero."""
 
     logval: float
-
-    @classmethod
-    def from_value(cls, v: float) -> "LogReal":
-        if v < 0:
-            raise DomainError(f"LogReal represents nonnegative reals, got {v}")
-        return cls(NEG_INF) if v == 0 else cls(math.log(v))
-
-    @classmethod
-    def zero(cls) -> "LogReal":
-        return cls(NEG_INF)
-
-    @classmethod
-    def one(cls) -> "LogReal":
-        return cls(0.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.logval == NEG_INF
-
-    def value(self) -> float:
-        return math.exp(self.logval)
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        return LogReal(self.logval + other.logval)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.is_zero:
-            raise DomainError("division by LogReal zero")
-        if self.is_zero:
-            return LogReal(NEG_INF)
-        return LogReal(self.logval - other.logval)
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        return LogReal(float(np.logaddexp(self.logval, other.logval)))
-
-    def __lt__(self, other: "LogReal") -> bool:
-        return self.logval < other.logval
-
-    def __le__(self, other: "LogReal") -> bool:
-        return self.logval <= other.logval
 
 
 def log_sum_exp_value(a: np.ndarray) -> float:

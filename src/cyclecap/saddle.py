@@ -51,6 +51,8 @@ from .numerics import NEG_INF, LogReal, log_sum_exp_value
 
 _RESIDUAL_TOL = 1e-12
 _NEWTON_MAX_ITER = 80
+# mu_alpha below lo is Vanishing, above hi Diverging, in between Critical.
+_REGIME_THRESHOLDS = (0.1, 10.0)
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,9 @@ class SaddleSolution:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Exact mu_alpha, its n*log(n)/alpha^2 comparator, and a heuristic label."""
+    """Exact mu_alpha and its heuristic label at the thresholds (lo, hi)."""
 
     mu_alpha: float
-    approx: float
     classification: str
     thresholds: tuple
 
@@ -216,24 +217,21 @@ def asymptotic_x(c: float, n: float, alpha: int, theta: float) -> AsymptoticTilt
     )
 
 
-def regime_report(model: ConstraintModel, thresholds: tuple = (0.1, 10.0)) -> RegimeReport:
-    """Classify the model by exact mu_alpha against user thresholds.
+def regime_report(model: ConstraintModel) -> RegimeReport:
+    """Classify the model by exact mu_alpha against the thresholds (0.1, 10).
 
     The classification is a finite-n heuristic (the regimes are asymptotic
     statements); the thresholds are reported alongside the label.
     """
-    lo, hi = thresholds
-    if not (0 < lo < hi):
-        raise ConstraintError(f"thresholds must satisfy 0 < lo < hi, got {thresholds}")
+    lo, hi = _REGIME_THRESHOLDS
     m = mu_alpha_of(model)
-    approx = model.n * math.log(model.n) / model.alpha**2
     if m < lo:
         label = "Vanishing"
     elif m > hi:
         label = "Diverging"
     else:
         label = "Critical"
-    return RegimeReport(mu_alpha=m, approx=approx, classification=label, thresholds=(lo, hi))
+    return RegimeReport(mu_alpha=m, classification=label, thresholds=_REGIME_THRESHOLDS)
 
 
 @dataclass(frozen=True)

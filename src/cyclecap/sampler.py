@@ -41,10 +41,11 @@ with the splitmix64 finalizer mix64 and GAMMA = 0x9E3779B97F4A7C15. Seeds
 are integers in [0, 2^64). Cycle length t consumes position t; member
 selection consumes positions 2^32, ... so the cycle-type marginal of a
 permutation draw is bit-identical to the plain cycle-type draw at the same
-(seed, counter). Batches are therefore order-independent and
-partition-independent across workers. (v1 read the same stream but mapped u
-to a length through linear-scale rows, which underflowed to zero mass when
-the tilted table spanned more than double range.)
+(seed, counter). Sample i of a batch is therefore the same draw whatever the
+batch size, and a shorter batch of a seed is a prefix of a longer one. (v1
+read the same stream but mapped u to a length through linear-scale rows,
+which underflowed to zero mass when the tilted table spanned more than
+double range.)
 """
 
 from __future__ import annotations
@@ -226,10 +227,10 @@ def _draw_lengths(state: SamplerState, bases: np.ndarray) -> List[np.ndarray]:
     return [row[:c].astype(np.int64) for row, c in zip(lengths, cycles)]
 
 
-def _chunk_bases(seed: int, count: int, start_index: int) -> Iterator[tuple]:
+def _chunk_bases(seed: int, count: int) -> Iterator[tuple]:
     """(offset, stream bases) for consecutive chunks of a batch."""
     for lo in range(0, count, _CHUNK):
-        yield lo, _stream_bases_np(seed, start_index + lo, min(_CHUNK, count - lo))
+        yield lo, _stream_bases_np(seed, lo, min(_CHUNK, count - lo))
 
 
 def _check_count(count: int) -> None:
@@ -273,13 +274,10 @@ def sample_permutation(state: SamplerState) -> Permutation:
     return Permutation(image)
 
 
-def sample_type_array(
-    model: ConstraintModel, count: int, seed: int, start_index: int = 0
-) -> np.ndarray:
+def sample_type_array(model: ConstraintModel, count: int, seed: int) -> np.ndarray:
     """count exact cycle-type draws as a (count, n) matrix of counts c_1..c_n.
 
-    Row i is the draw at stream index start_index + i, so partitioning a
-    batch across workers by index ranges reproduces the same samples.
+    Row i is the draw at stream index i.
     """
     _check_count(count)
     if (count * model.n) * 4 > _TYPE_ARRAY_BYTE_GUARD:
@@ -289,16 +287,14 @@ def sample_type_array(
         )
     state = SamplerState.for_model(model, seed)
     counts = np.zeros((count, model.n), dtype=np.int32)
-    for lo, bases in _chunk_bases(seed, count, start_index):
+    for lo, bases in _chunk_bases(seed, count):
         block = counts[lo : lo + len(bases)]
         for _, active, j in _waves(state, bases):
             block[active, j - 1] += 1  # each sample appears once per wave
     return counts
 
 
-def sample_lengths(
-    model: ConstraintModel, count: int, seed: int, start_index: int = 0
-) -> List[np.ndarray]:
+def sample_lengths(model: ConstraintModel, count: int, seed: int) -> List[np.ndarray]:
     """count exact draws, each as its array of cycle lengths in draw order.
 
     The memory-light form for large n: no dense count vectors are built.
@@ -306,6 +302,6 @@ def sample_lengths(
     _check_count(count)
     state = SamplerState.for_model(model, seed)
     out: List[np.ndarray] = []
-    for _, bases in _chunk_bases(seed, count, start_index):
+    for _, bases in _chunk_bases(seed, count):
         out.extend(_draw_lengths(state, bases))
     return out

@@ -301,6 +301,47 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         assert run(["partition", "--config", "/nonexistent/cfg.json"]) == 2
 
+    # Each entry is checked as its flag would be: a value the flag refuses is a
+    # configuration error, never a value written onto the command unchecked.
+    @pytest.mark.parametrize(
+        "command,values",
+        [
+            ("partition", {"n": 10.7, "alpha": 3}),
+            ("sample", {"n": 10, "alpha": 3, "count": "50", "seed": 1}),
+            ("tvd", {"n": 10, "alpha": 3, "b": "19"}),
+            ("sample", {"n": 10, "alpha": 3, "count": 3, "seed": 1, "emit": "process", "grid": [0.5, 1]}),
+            ("sample", {"n": 10, "alpha": 3, "count": 3, "seed": 1, "emit": "bogus"}),
+            ("partition", {"n": 10, "alpha": 3, "theta": True}),
+            ("partition", {"n": 10, "alpha": 3, "command": "tvd"}),
+        ],
+        ids=["fractional_n", "string_count", "string_b", "list_grid", "bad_choice", "bool_theta", "not_a_flag"],
+    )
+    def test_entry_parsed_as_its_flag(self, tmp_path, capsys, command, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert run([command, "--config", str(cfg)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_explicit_flag_at_its_default_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10, "alpha": 3, "theta": 2.0}))
+        _, out = run_capture(["partition", "--config", str(cfg), "--theta", "1.0"], capsys)
+        assert json.loads(out)["config"]["theta"] == 1.0
+        _, out = run_capture(["partition", "--theta", "1.0", "--config", str(cfg)], capsys)
+        assert json.loads(out)["config"]["theta"] == 1.0
+        _, out = run_capture(["partition", "--config", str(cfg)], capsys)
+        assert json.loads(out)["config"]["theta"] == 2.0
+
+    def test_entries_match_the_same_flags(self, tmp_path, capsys):
+        # a config file and the flags it spells produce the same artifact
+        cfg = tmp_path / "cfg.json"
+        values = {"n": 2000, "alpha": 95, "check": "critical", "samples": 50, "seed": 5, "d-max": 4}
+        cfg.write_text(json.dumps(values))
+        _, from_file = run_capture(["limits", "--config", str(cfg)], capsys)
+        flags = [f"--{k}={v}" for k, v in values.items()]
+        _, from_flags = run_capture(["limits", *flags], capsys)
+        assert from_file == from_flags
+
 
 class TestOutFile:
     def test_atomic_write_to_path(self, tmp_path, capsys):
@@ -385,6 +426,19 @@ class TestLimitsAndCLTCommands:
         r = json.loads(out)["result"]
         assert r["triple"] == [0.0, 1.0, 2.0]
         assert r["value"] >= 0.0 and r["std_error"] >= 0.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clt", "--n", "2000", "--alpha", "12", "--m-list", "12,12", "--samples", "200", "--seed", "1"],
+            ["limits", "--n", "2000", "--alpha", "12", "--check", "clt", "--m-list", "10,10",
+             "--samples", "200", "--seed", "1"],
+        ],
+        ids=["clt", "limits"],
+    )
+    def test_repeated_m_is_config_error(self, argv, capsys):
+        assert run(argv) == 2
+        assert "repeat" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",

@@ -24,7 +24,7 @@ from cyclecap.limits import (
     tightness_moment_estimate,
     tightness_scaling_check,
 )
-from cyclecap.model import ConstraintModel, CycleType
+from cyclecap.model import ConstraintModel
 from cyclecap.saddle import mu, mu_alpha_of, solve_model_saddle
 from cyclecap.sampler import sample_lengths
 
@@ -75,7 +75,7 @@ class TestBuildProcess:
         model = ConstraintModel(n=12, alpha=5, theta=1.0)
         d = _cutoffs(np.array([0.5, 1.0, 1.5]), 0.5, model.alpha)
         assert d.tolist() == [4, 3, 2]
-        batch = [CycleType.from_lengths([5, 4, 3])]
+        batch = [np.array([5, 4, 3])]
         assert _counts_longer(*_checked_flatten(batch, model), 1, d).tolist() == [[1, 2, 3]]
 
     def test_counts_nondecreasing(self, vanishing_samples):
@@ -98,27 +98,25 @@ class TestBuildProcess:
             poisson_process_battery([], CRITICAL, grid)
 
     def test_batch_counts_match_per_sample_counts(self, vanishing_samples):
-        # CycleTypes, length arrays and an empty sample mixed in one batch
-        batch = [CycleType.from_lengths(vanishing_samples[0]), np.array([], dtype=np.int64)]
+        # drawn samples, a hand-made one and an empty sample mixed in one batch
+        batch = [vanishing_samples[0], np.array([], dtype=np.int64), np.array([639, 1])]
         batch += list(vanishing_samples[1:50])
         d = np.array([639, 600, 500, 100, 0], dtype=np.int64)
         counts = _counts_longer(*_flatten(batch), len(batch), d)
         assert counts.shape == (len(batch), len(d))
-        for row, s in zip(counts, batch):
-            lengths = s.lengths() if isinstance(s, CycleType) else s
+        for row, lengths in zip(counts, batch):
             assert row.tolist() == [int(np.count_nonzero(lengths > dv)) for dv in d]
         assert _counts_longer(*_flatten([]), 0, d).shape == (0, len(d))
 
     @pytest.mark.parametrize("K", [1, 3, 7])
     def test_batch_top_lengths_match_per_sample_top_k(self, critical_samples, K):
         # empty samples, ties and samples with fewer than K cycles mixed in one batch
-        batch = [np.array([], dtype=np.int64), CycleType.from_lengths([4, 4, 1])]
+        batch = [np.array([], dtype=np.int64), np.array([4, 4, 1])]
         batch += [np.array([5, 2, 9, 2, 9], dtype=np.int64), np.array([7], dtype=np.int64)]
         batch += list(critical_samples[:200]) + [np.array([], dtype=np.int64)]
         top = _top_lengths(*_flatten(batch), len(batch), K)
         assert top.shape == (len(batch), K)
-        for row, s in zip(top, batch):
-            lengths = s.lengths() if isinstance(s, CycleType) else s
+        for row, lengths in zip(top, batch):
             expected = np.zeros(K, dtype=np.int64)
             longest = np.sort(lengths)[::-1][:K]
             expected[: len(longest)] = longest
@@ -187,7 +185,7 @@ class TestCheckLongestDiverging:
 
     def test_mixed_batch_matches_per_sample_count(self):
         s = sample_lengths(DIVERGING, 200, seed=4)
-        batch = [CycleType.from_lengths(s[0]), *s[1:]]
+        batch = [s[0].astype(np.int32), *s[1:]]
         for K in (1, 2, 4):
             hits = sum(int(np.count_nonzero(x == DIVERGING.alpha) >= K) for x in s)
             assert check_longest_diverging(batch, DIVERGING, K) == hits / len(s)
@@ -264,7 +262,6 @@ class TestPoissonProcessBattery:
         assert 0.0 <= rep.max_abs_correlation <= 1.0
         assert 0.0 <= rep.ks_longest[0] <= 1.0
         assert len(rep.ks_spacings) == 2
-        assert rep.significance == 0.001
         for t in rep.increment_tests:
             assert t.t_hi > t.t_lo >= 0.0
             assert 0 <= t.subbatch < 3
@@ -367,16 +364,22 @@ class TestCLTBattery:
             assert abs(e.standardized_mean) <= e.mean_bound
             assert e.mean_bound == pytest.approx(3 / math.sqrt(3000), abs=1e-12)
 
-    def test_reuses_provided_samples(self, vanishing_samples):
-        rep = clt_battery(
-            VANISHING, [1, 2], 1000, mu_threshold=0.5, samples=vanishing_samples[:500]
-        )
+    def test_reuses_provided_samples(self):
+        model = ConstraintModel(n=2000, alpha=12, theta=1.0)
+        s = sample_lengths(model, 500, seed=6)
+        rep = clt_battery(model, [10, 12], 1000, samples=s)
         assert rep.n_samples == 500
+        assert rep.mu_threshold == 5.0
+
+    def test_repeated_m_is_refused(self):
+        # a repeated m would report the correlation of a count with itself
+        with pytest.raises(DomainError, match="repeat"):
+            clt_battery(ConstraintModel(n=2000, alpha=12, theta=1.0), [12, 12], 100)
 
     def test_counts_of_a_mixed_batch(self):
         model = ConstraintModel(n=2000, alpha=12, theta=1.0)
         s = sample_lengths(model, 300, seed=6)
-        batch = [CycleType.from_lengths(s[0]), *s[1:]]
+        batch = [s[0].astype(np.int32), *s[1:]]
         rep = clt_battery(model, [10, 12], 300, samples=batch)
         for e in rep.entries:
             counts = np.array([np.count_nonzero(x == e.m) for x in s])

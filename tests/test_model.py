@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,12 +7,10 @@ from hypothesis import strategies as st
 
 from cyclecap.errors import ConfigError, StructuralError
 from cyclecap.model import (
-    AlphaRule,
     ConstraintModel,
     CycleType,
     Permutation,
     WeightArray,
-    alpha_of,
     bounded_partitions,
     cycle_type_of,
     ewens_log_weight,
@@ -22,37 +19,26 @@ from oracles import bounded_partitions_reference, cycle_lengths_of_permutation, 
 
 
 class TestAlphaRule:
+    """alpha = floor(n^beta), clamped to [1, n], as ConstraintModel.from_exponent computes it."""
+
     def test_exponent_rule(self):
-        rule = AlphaRule(beta=0.5)
-        assert alpha_of(rule, 100) == 10
-        assert alpha_of(rule, 101) == 10
+        assert ConstraintModel.from_exponent(100, 0.5, 1.0).alpha == 10
+        assert ConstraintModel.from_exponent(101, 0.5, 1.0).alpha == 10
 
     def test_floor_is_robust_to_float_dust(self):
         # 1000^(1/3) = 9.9999... in floating point; the rule must return 10
-        rule = AlphaRule(beta=1.0 / 3.0)
-        assert alpha_of(rule, 1000) == 10
+        assert ConstraintModel.from_exponent(1000, 1.0 / 3.0, 1.0).alpha == 10
 
     def test_clamped_to_valid_range(self):
-        assert alpha_of(AlphaRule(beta=0.01), 50) == 1
+        assert ConstraintModel.from_exponent(50, 0.01, 1.0).alpha == 1
 
     def test_beta_outside_unit_interval_rejected(self):
         with pytest.raises(ConfigError):
-            AlphaRule(beta=2.0)
+            ConstraintModel.from_exponent(100, 2.0, 1.0)
         with pytest.raises(ConfigError):
-            AlphaRule(beta=0.0)
-
-    def test_table_rule(self):
-        rule = AlphaRule(table={10: 3, 20: 7})
-        assert alpha_of(rule, 10) == 3
-        assert alpha_of(rule, 20) == 7
+            ConstraintModel.from_exponent(100, 0.0, 1.0)
         with pytest.raises(ConfigError):
-            alpha_of(rule, 15)
-
-    def test_exactly_one_spec(self):
-        with pytest.raises(ConfigError):
-            AlphaRule(beta=0.5, table={1: 1})
-        with pytest.raises(ConfigError):
-            AlphaRule()
+            ConstraintModel.from_exponent(0, 0.5, 1.0)
 
 
 class TestConstraintModel:
@@ -94,24 +80,10 @@ class TestConstraintModel:
         assert type(m.n) is int and type(m.alpha) is int
 
     def test_from_exponent(self):
+        # the model is the bare triple: equal to, and hashed as, the explicit one
         m = ConstraintModel.from_exponent(100, 0.5, 2.0)
-        assert m.alpha == 10
-        assert m.alpha_rule == AlphaRule(beta=0.5)
-
-    def test_json_roundtrip(self):
-        m = ConstraintModel.from_exponent(64, 0.7, 1.0)
-        m2 = ConstraintModel.from_json(json.dumps(m.to_json()))
-        assert m2 == m
-
-    def test_from_json_requires_exactly_one_of_alpha_beta(self):
-        with pytest.raises(ConfigError):
-            ConstraintModel.from_json('{"n": 10, "alpha": 3, "beta": 0.5, "theta": 1}')
-        with pytest.raises(ConfigError):
-            ConstraintModel.from_json('{"n": 10, "theta": 1}')
-
-    def test_from_json_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError):
-            ConstraintModel.from_json('{"n": 10, "alpha": 3, "theta": 1, "zeta": 2}')
+        assert m == ConstraintModel(n=100, alpha=10, theta=2.0)
+        assert hash(m) == hash(ConstraintModel(n=100, alpha=10, theta=2.0))
 
 
 class TestWeightArray:
@@ -140,41 +112,35 @@ class TestWeightArray:
 
 
 class TestCycleType:
-    def test_from_parts_and_accessors(self):
-        t = CycleType.from_parts([3, 1, 1])
+    def test_accessors(self):
+        t = CycleType(5, pairs=[(3, 1), (1, 2)])
         assert t.n == 5
         assert t.count(1) == 2 and t.count(3) == 1 and t.count(2) == 0
-        assert t.total_cycles == 3
-        assert sorted(t.lengths().tolist(), reverse=True) == [3, 1, 1]
-        assert t.to_dense().tolist() == [2, 0, 1, 0, 0]
+        assert t.lengths().tolist() == [1, 1, 3]
+        assert t.key() == ((1, 2), (3, 1))
 
     def test_from_lengths(self):
         t = CycleType.from_lengths(np.array([2, 2, 1]))
         assert t.n == 5 and t.count(2) == 2
 
     def test_items_skips_zeros(self):
-        t = CycleType.from_parts([4, 1])
+        t = CycleType(5, pairs=[(4, 1), (2, 0), (1, 1)])
         assert dict(t.items()) == {1: 1, 4: 1}
-
-    def test_admissibility(self):
-        t = CycleType.from_parts([3, 2])
-        assert t.is_admissible(3)
-        assert not t.is_admissible(2)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(StructuralError):
-            CycleType(n=5, counts=np.array([1, 0, 1, 0, 0]))
+            CycleType(n=5, pairs=[(1, 1), (3, 1)])
 
     def test_hash_eq_key(self):
-        a = CycleType.from_parts([2, 2, 1])
+        a = CycleType(5, pairs=[(2, 2), (1, 1)])
         b = CycleType.from_lengths(np.array([1, 2, 2]))
         assert a == b and hash(a) == hash(b) and a.key() == b.key()
 
     def test_sparse_dense_equivalence(self):
-        a = CycleType(n=7, pairs={3: 1, 2: 2})
-        b = CycleType(n=7, counts=np.array([0, 2, 1, 0, 0, 0, 0]))
+        # the dense count vector (c_1, ..., c_n), given as pairs with its zeros
+        a = CycleType(n=7, pairs=[(3, 1), (2, 2)])
+        b = CycleType(n=7, pairs=enumerate([0, 2, 1, 0, 0, 0, 0], start=1))
         assert a == b
-        assert a.to_dense().tolist() == b.to_dense().tolist()
 
 
 class TestPermutation:
@@ -182,10 +148,6 @@ class TestPermutation:
         p = Permutation(np.arange(4))
         t = cycle_type_of(p)
         assert t.count(1) == 4
-
-    def test_from_one_based(self):
-        p = Permutation.from_one_based([2, 1, 3])
-        assert cycle_type_of(p).key() == CycleType.from_parts([2, 1]).key()
 
     def test_invalid_image_rejected(self):
         with pytest.raises(StructuralError):
@@ -208,13 +170,13 @@ class TestEwensLogWeight:
         # n! * prod_j (theta/j)^{c_j} / c_j! = #perms(type) * theta^{#cycles}
         census = type_census(n)
         for part, count in census.items():
-            t = CycleType.from_parts(list(part))
-            got = ewens_log_weight(t, theta).value()
+            t = CycleType.from_lengths(part)
+            got = math.exp(ewens_log_weight(t, theta).logval)
             assert got == pytest.approx(count * theta ** len(part), rel=1e-12)
 
     def test_total_at_theta_one_is_factorial(self):
         total = sum(
-            ewens_log_weight(CycleType.from_parts(p), 1.0).value()
+            math.exp(ewens_log_weight(CycleType.from_lengths(p), 1.0).logval)
             for p in bounded_partitions(6, 6)
         )
         assert total == pytest.approx(math.factorial(6), rel=1e-12)

@@ -5,51 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclecap.numerics import (
-    NEG_INF,
-    LogReal,
-    log_sum_exp_value,
-)
+from cyclecap.numerics import NEG_INF, log_sum_exp_value
 
 finite_logs = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
-
-
-class TestLogReal:
-    def test_roundtrip(self):
-        assert LogReal.from_value(2.5).value() == pytest.approx(2.5, rel=1e-15)
-
-    def test_zero_and_one(self):
-        assert LogReal.zero().is_zero
-        assert LogReal.zero().value() == 0.0
-        assert LogReal.one().value() == 1.0
-        assert not LogReal.one().is_zero
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(Exception):
-            LogReal.from_value(-1.0)
-
-    def test_mul_div(self):
-        a, b = LogReal.from_value(6.0), LogReal.from_value(1.5)
-        assert (a * b).value() == pytest.approx(9.0, rel=1e-14)
-        assert (a / b).value() == pytest.approx(4.0, rel=1e-14)
-
-    def test_add(self):
-        a, b = LogReal.from_value(1e-300), LogReal.from_value(2e-300)
-        assert (a + b).logval == pytest.approx(math.log(3e-300), rel=1e-14)
-
-    def test_add_zero_identity(self):
-        a = LogReal.from_value(0.7)
-        assert (a + LogReal.zero()).logval == a.logval
-        assert (LogReal.zero() + a).logval == a.logval
-
-    def test_ordering(self):
-        assert LogReal.from_value(1.0) < LogReal.from_value(2.0)
-        assert LogReal.zero() < LogReal.from_value(1e-300)
-        assert LogReal.from_value(3.0) <= LogReal.from_value(3.0)
-
-    @given(finite_logs, finite_logs)
-    def test_mul_matches_log_addition(self, la, lb):
-        assert (LogReal(la) * LogReal(lb)).logval == pytest.approx(la + lb, rel=1e-12, abs=1e-12)
 
 
 class TestLogSumExp:

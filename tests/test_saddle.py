@@ -148,9 +148,13 @@ class TestRegimeReport:
         assert div.mu_alpha > 10 > crit.mu_alpha > 0.1 > van.mu_alpha
 
     def test_thresholds_respected(self):
-        m = ConstraintModel(n=10**5, alpha=1072, theta=1.0)
-        r = regime_report(m, thresholds=(0.001, 0.01))
-        assert r.classification == "Diverging"
+        # the label follows the exact mu_alpha against the fixed pair (0.1, 10)
+        for alpha in (100, 1072, 17782):
+            r = regime_report(ConstraintModel(n=10**5, alpha=alpha, theta=1.0))
+            assert r.thresholds == (0.1, 10.0)
+            lo, hi = r.thresholds
+            want = "Vanishing" if r.mu_alpha < lo else "Diverging" if r.mu_alpha > hi else "Critical"
+            assert r.classification == want
 
 
 class TestSaddlePointCoefficient:
