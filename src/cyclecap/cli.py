@@ -43,6 +43,7 @@ from .exact import (
     partition_function,
 )
 from .limits import (
+    _clt_means,
     _counts_longer,
     _cutoffs,
     _flatten,
@@ -329,7 +330,7 @@ def _cmd_limits(args) -> int:
     if args.seed is None:
         raise ConfigError("--seed is required when sampling")
     check = args.check
-    # List flags are parsed before any draw.
+    # List flags are parsed and checked before any draw.
     if check == "process":
         if not args.grid:
             raise ConfigError("--grid is required for the process battery")
@@ -342,6 +343,7 @@ def _cmd_limits(args) -> int:
         if not args.m_list:
             raise ConfigError("--m-list is required for the clt battery")
         m_list = _parse_int_list(args.m_list, "--m-list")
+        _clt_means(model, m_list)
     batch = sample_lengths(model, args.samples, args.seed)
     if check == "diverging":
         fields = {"K": args.K, "fraction": check_longest_diverging(batch, model, args.K)}

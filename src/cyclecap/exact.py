@@ -14,6 +14,21 @@ Two instantiations are used:
     p_k = P[sum_j j*Y_j = k] for independent Y_j ~ Poisson(mu_j) and
     M = sum mu_j (the same recurrence is known as Panjer's).
 
+Geometric rows, w_j = theta*x^j on 1..c and zero after with c >= 128, take a
+panel scan: every model table, every capped row and the row without weight
+alpha. There k*h_k = theta*sum_{j<=c} x^j h_{k-j}, so on a panel of
+S = min(c, 2048) indices the terms of older coefficients are one positive
+suffix sum of x^t-weighted entries over the last c of them (the common head
+summed pairwise, a cumsum over the S-entry tail), and the in-panel sum
+U_d = sum_{i<d} x^-i h_(k0+i) obeys U_(d+1) = (1 + theta/k)*U_d + theta*x*W_d/k
+with positive terms: one cumprod and one cumsum. A table takes N/S Python
+steps and O(N*(1 + c/S)) work. The scan is kept only under a range
+certificate: the powers x^t, the products of the powers with computed
+entries, the cumsum's terms and every entry are finite and normal. A row
+whose logs are not a line within a few ulps, with c below 128, or whose
+certificate fails runs the blocked kernel below, so every raise and retilt is
+the kernel's. Rescales are the kernel's, once per panel.
+
 The kernel runs in the *linear* domain, one block of B = 16 consecutive
 indices per Python step (a blocked power-series solve in the manner of
 Brent & Kung, JACM 1978). For a block K..K+B-1 the recurrence splits into
@@ -116,6 +131,9 @@ _CHUNK = 256  # blocks whose in-block inverses are built together
 _PANEL = 96  # blocks per panel on wide caps
 _PANEL_MIN_ALPHA = 4096  # narrower caps advance one block per panel
 _FFT_C = 8.0  # c of the FFT certificate; measured errors stay below a fiftieth of its bound
+_SCAN_MIN_C = 128  # geometric rows from this many weights on take the panel scan (measured crossover)
+_SCAN_PANEL = 2048  # most coefficients per scan panel: bounds each cumsum's and cumprod's rounding
+_GEOMETRIC_ULPS = 8.0  # a row is geometric if its logs are a line within this many eps*max|log|
 _KAPPA = 16.0  # largest cancellation the factorial-moment series of a law may show
 _RESCALE_HI = 2.0**256  # a block above this (or below its inverse) triggers a rescale
 _RESCALE_LO = 2.0**-256
@@ -275,8 +293,140 @@ class _MiddleProduct:
         np.ldexp(self.c_norms, -e, out=self.c_norms)
 
 
+def _stored_logs(G: np.ndarray, events: list) -> np.ndarray:
+    """log G in place, each entry shifted by the cumulative exponent of its last rescale.
+
+    An entry's scale is the exponent of the last rescale whose window reached
+    it; events are (first k rescaled, cumulative power of two), with windows
+    starting at nondecreasing k.
+    """
+    with np.errstate(divide="ignore"):
+        np.log(G, out=G)
+    for (lo, e), (hi, _) in zip(events, events[1:] + [(len(G), 0)]):
+        G[lo:hi] += e * _LN2
+    return G
+
+
+def _geometric_run(logw: np.ndarray):
+    """(c, A, d) where logw[:c] is A + t*d, t = 0..c-1, within _GEOMETRIC_ULPS, then only -inf.
+
+    The slope and intercept are the least-squares line, refined from the
+    endpoints' through the residuals. None for any other row and for c
+    below _SCAN_MIN_C.
+    """
+    c = len(logw)
+    tail = np.flatnonzero(logw == NEG_INF)
+    if tail.size:
+        c = int(tail[0])
+        if tail.size != len(logw) - c:
+            return None
+    if c < _SCAN_MIN_C or not np.all(np.isfinite(logw[:c])):
+        return None
+    head = logw[:c]
+    t = np.arange(c, dtype=float)
+    d = (head[-1] - head[0]) / (c - 1)
+    resid = head - (head[0] + t * d)
+    centred = t - 0.5 * (c - 1)
+    d += float(np.dot(centred, resid)) / (c * (c * c - 1.0) / 12.0)
+    resid = head - t * d
+    A = float(resid.mean())
+    if np.abs(resid - A).max() > _GEOMETRIC_ULPS * _EPS * np.abs(head).max():
+        return None
+    return c, A, float(d)
+
+
+def _geometric_scan(logw: np.ndarray, N: int) -> Optional[np.ndarray]:
+    """log h_k, k = 0..N, for a geometric row by panels of S coefficients, or None.
+
+    For w_j = theta*x^j on 1..c (zero after), k*h_k = theta*sum_{j<=c} x^j h_{k-j}.
+    On a panel of S <= c indices from k0, the terms of older coefficients
+    into h_(k0+d) are theta*x^(d+1)*W_d with W_d = sum_{s>=d} x^(c-1-s) h_(k0-c+s),
+    one positive suffix sum of the last c entries: its common head is summed
+    pairwise, the S-entry tail by one cumsum. The in-panel sum
+    U_d = sum_{i<d} x^-i h_(k0+i) obeys U_(d+1) = (1 + theta/k)*U_d + theta*x*W_d/k,
+    so U is one cumprod and one cumsum of positive terms, and
+    h_(k0+d) = x^d*theta*(x*W_d + U_d)/k. O(c + S) per panel.
+
+    Returns None, so that the blocked kernel runs instead, where the row is not
+    geometric (`_geometric_run`) or the range certificate fails: the powers
+    x^t or a panel's products leave the normal range, or an entry comes out
+    non-finite, subnormal or zero. Rescales work as in the kernel.
+    """
+    run = _geometric_run(logw)
+    if run is None:
+        return None
+    c, A, d = run
+    S = min(c, _SCAN_PANEL)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        xp = np.exp(np.arange(c) * d)  # x^t, t = 0..c-1
+        theta, theta_x = np.exp([A - d, A]).tolist()
+        # x^t is monotone in t, so its ends, 1 and x^(c-1), bound it.
+        if not (_TINY <= min(xp[-1], 1.0, theta) and max(xp[-1], 1.0, theta_x) < math.inf):
+            return None
+        xr = xp[::-1].copy()  # xr[s] weighs buf[k0 + s], the entry c - s before k0
+        # buf[c + k] holds h_k at the current scale; the c leading zeros stand for k < 0.
+        buf = np.zeros(c + N + 1)
+        buf[c] = 1.0
+        prod = np.empty(c)
+        events = []
+        exponent = 0
+        for k0 in range(1, N + 1, S):
+            span = min(S, N + 1 - k0)
+            np.multiply(xr, buf[k0 : k0 + c], out=prod)
+            if not prod[max(c - k0, 0) :].min() >= _TINY:  # the products of computed entries
+                return None
+            # W[d] = sum_{s >= d} prod[s]: the tail's cumsum, then the pairwise head
+            W = np.cumsum(prod[span - 1 :: -1])[::-1]
+            W += prod[span:].sum()
+            k = np.arange(k0, k0 + span, dtype=float)
+            r = theta / k
+            Q = np.cumprod(1.0 + r)  # Q[d] = prod_{i <= d} (1 + theta/(k0+i))
+            b = theta_x * W
+            b /= k
+            terms = b / Q
+            if not terms.min() >= _TINY:  # also where Q overflowed
+                return None
+            # h = x^d*(b_d + theta*U_d/k), U_d = Q_(d-1)*sum_{i<d} terms_i, U_0 = 0
+            h = np.empty(span)
+            h[0] = 0.0
+            np.multiply(Q[:-1], np.cumsum(terms[:-1]), out=h[1:])
+            h *= r
+            h += b
+            h *= xp[:span]
+            total = h.sum()
+            if not (h.min() >= _TINY and total < math.inf):
+                return None
+            end = c + k0 + span
+            buf[end - span : end] = h
+            if _RESCALE_LO <= total <= _RESCALE_HI:
+                continue
+            lo = max(end - c, c)
+            window = buf[lo:end]
+            top = total if total > _RESCALE_HI else window.max()
+            if _RESCALE_LO <= top <= _RESCALE_HI:
+                continue
+            e = math.frexp(top)[1]
+            if window.min() < math.ldexp(_TINY, max(e, 0)):  # below normal once scaled
+                return None
+            np.ldexp(window, -e, out=window)
+            exponent += e
+            events.append((lo - c, exponent))
+    return _stored_logs(buf[c : c + N + 1], events)
+
+
 def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
     """log h_k, k = 0..N, for k*h_k = sum_j exp(logw[j-1])*h_{k-j}, h_0 = 1.
+
+    Geometric rows of at least _SCAN_MIN_C weights take the panel scan; every
+    other row, and any row whose scan fails its certificate, the blocked kernel,
+    which raises NumericalError rather than return entries that left double range.
+    """
+    G = _geometric_scan(logw, N)
+    return _blocked_dp(logw, N) if G is None else G
+
+
+def _blocked_dp(logw: np.ndarray, N: int) -> np.ndarray:
+    """The blocked kernel: `_log_linear_dp` for any row.
 
     Raises NumericalError rather than return entries that left double range.
     """
@@ -351,13 +501,7 @@ def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
     if np.any((G > 0.0) & (G < _TINY)):
         raise NumericalError("the DP left a coefficient below double range")
     _raise_if_zeroed(G, logw)
-    with np.errstate(divide="ignore"):
-        np.log(G, out=G)
-    # An entry's scale is the cumulative exponent of the last rescale whose
-    # window reached it; windows start at nondecreasing k.
-    for (lo, e), (hi, _) in zip(events, events[1:] + [(N + 1, 0)]):
-        G[lo:hi] += e * _LN2
-    return G
+    return _stored_logs(G, events)
 
 
 @dataclass(frozen=True)
@@ -402,7 +546,8 @@ class CoefficientTable:
 def egf_coefficients(q: WeightArray, N: int, tilt: float = None) -> CoefficientTable:
     """Coefficients of exp(sum_j (q_j/j) z^j) up to order N, optionally x-tilted.
 
-    O(N * alpha) time. The DP runs at the requested tilt whenever the table
+    O(N) time for a geometric row (the scan), O(N * alpha) for any other
+    (the blocked kernel). The DP runs at the requested tilt whenever the table
     fits in double range there, so ratios of tables at one tilt keep every
     digit. Where it does not (the DP raises), the row is rerun at its saddle
     tilt for N and the difference is folded into the stored logs; a row that
@@ -456,10 +601,13 @@ class TiltedModel:
 
         T is the table of the row q at this tilt: the model's own h-table when
         q is None, exp(0) = 1 (T_0 = 1, T_k = 0 after) when q is all zeros,
-        and otherwise one table of q up to n - min(s).
+        and otherwise one table of q up to n - min(s). Raises DomainError for
+        any s outside 0..n.
         """
         n = self.model.n
         s = np.asarray(s)
+        if np.any((s < 0) | (s > n)):
+            raise DomainError(f"ratio index outside 0..{n}")
         if q is None:
             log_t = self.table.log_tilted_values[n - s]
         elif q.is_degenerate:

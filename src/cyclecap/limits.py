@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -530,6 +530,23 @@ def exact_standardized_ks(model: ConstraintModel, m: int) -> float:
     return discrete_ks_to_normal(z, log_pmf)
 
 
+def _clt_means(model: ConstraintModel, m_list: Sequence[int]) -> Dict[int, float]:
+    """mu_m per m of a clt battery, once its m-list passes: distinct m, each in 1..alpha with mu_m >= 5."""
+    if len(set(m_list)) != len(m_list):
+        raise DomainError(f"m_list must not repeat an m, got {list(m_list)}")
+    sol = solve_model_saddle(model)
+    mus = {}
+    for m in m_list:
+        mu_m = mu(sol, model.theta, m)
+        if mu_m < _CLT_MU_THRESHOLD:
+            raise RegimeError(
+                f"mu_{m} = {mu_m:.4g} below threshold {_CLT_MU_THRESHOLD}; "
+                "the normal limit needs diverging mu_m"
+            )
+        mus[m] = mu_m
+    return mus
+
+
 @dataclass(frozen=True)
 class CLTEntry:
     m: int
@@ -573,18 +590,7 @@ def clt_battery(
 
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    if len(set(m_list)) != len(m_list):
-        raise DomainError(f"m_list must not repeat an m, got {list(m_list)}")
-    sol = solve_model_saddle(model)
-    mus = {}
-    for m in m_list:
-        mu_m = mu(sol, model.theta, m)
-        if mu_m < _CLT_MU_THRESHOLD:
-            raise RegimeError(
-                f"mu_{m} = {mu_m:.4g} below threshold {_CLT_MU_THRESHOLD}; "
-                "the normal limit needs diverging mu_m"
-            )
-        mus[m] = mu_m
+    mus = _clt_means(model, m_list)
     batch = samples if samples is not None else sample_lengths(model, n_samples, seed)
     owner, flat = _checked_flatten(batch, model)
     counts = np.empty((len(batch), len(m_list)), dtype=np.int64)

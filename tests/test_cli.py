@@ -281,6 +281,23 @@ class TestNonFiniteListFlags:
         ]
         assert run(argv) == 2
 
+    # A repeated m and an m past alpha are input errors (2); mu_1 below the
+    # battery's threshold is a regime guard (4). None of them draws.
+    @pytest.mark.parametrize("m_list,code", [("10,10", 2), ("13", 2), ("1", 4)])
+    def test_limits_clt_refused_m_list_draws_nothing(self, capsys, monkeypatch, m_list, code):
+        from cyclecap import cli
+
+        def no_draw(*args):
+            raise AssertionError("drew samples before checking --m-list")
+
+        monkeypatch.setattr(cli, "sample_lengths", no_draw)
+        argv = [
+            "limits", "--n", "2000", "--alpha", "12", "--check", "clt",
+            "--m-list", m_list, "--samples", "100000", "--seed", "1",
+        ]
+        assert run(argv) == code
+        assert capsys.readouterr().out == ""
+
 
 class TestConfigFile:
     def test_config_fills_defaults_flags_override(self, tmp_path, capsys):

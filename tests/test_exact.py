@@ -156,12 +156,12 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("n,alpha", [(10**5, 100), (10**5, 1072), (10**5, 17782)])
     def test_matches_reference_on_benchmark_tables(self, n, alpha):
         logw = saddle_row(n, alpha)
-        assert_same_logs(exact._log_linear_dp(logw, n), log_linear_dp_reference(logw, n), 1e-12)
+        assert_same_logs(exact._blocked_dp(logw, n), log_linear_dp_reference(logw, n), 1e-12)
 
     def test_bit_identical_reruns(self):
         logw = saddle_row(20000, 300)
-        first = exact._log_linear_dp(logw, 20000)
-        assert np.array_equal(first, exact._log_linear_dp(logw, 20000))
+        first = exact._blocked_dp(logw, 20000)
+        assert np.array_equal(first, exact._blocked_dp(logw, 20000))
 
     @pytest.mark.parametrize("n,alpha", EXACT_MODELS)
     def test_recurrence_contract_on_benchmark_models(self, n, alpha):
@@ -279,7 +279,7 @@ class TestPanelKernel:
         # several times inside panels, and the panels' later rows with it.
         alpha, N = exact._PANEL_MIN_ALPHA, 30000
         logw = slope * np.arange(1, alpha + 1)
-        assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
+        assert_same_logs(exact._blocked_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
         # Each window spans e^(0.02*alpha) = e^82, so no FFT product is certified.
         assert False in fft_verdicts
 
@@ -287,11 +287,11 @@ class TestPanelKernel:
     def test_uncertified_panels_take_the_narrow_kernels_product(self, monkeypatch, slope, fft_verdicts):
         alpha, N = exact._PANEL_MIN_ALPHA, 30000
         logw = slope * np.arange(1, alpha + 1)
-        panelled = exact._log_linear_dp(logw, N)
+        panelled = exact._blocked_dp(logw, N)
         # No window is certified here, so every block takes a narrow cap's product.
         assert fft_verdicts and not any(fft_verdicts)
         monkeypatch.setattr(exact, "_panel_blocks", lambda alpha: 1)
-        assert np.array_equal(panelled, exact._log_linear_dp(logw, N))
+        assert np.array_equal(panelled, exact._blocked_dp(logw, N))
 
     def test_panel_rows_below_normal_after_a_rescale(self, fft_verdicts):
         # Weights past 1000 are subnormal, so the later rows of a panel, which
@@ -327,7 +327,7 @@ class TestPanelKernel:
         # The first panel's older terms are w_1..w_PB times h_0; its bound is
         # summed per segment, so only the first segment's norm enters it.
         n, alpha = 10**5, 17782
-        exact._log_linear_dp(saddle_row(n, alpha), n)
+        exact._blocked_dp(saddle_row(n, alpha), n)
         span = exact._panel_blocks(alpha) * exact._BLOCK
         assert fft_verdicts == [True] * -(-n // span)
 
@@ -350,7 +350,7 @@ class TestPanelKernel:
             fft_verdicts.clear()
             rescales.clear()
             logw = slope * np.arange(1, alpha + 1)
-            got = exact._log_linear_dp(logw, N)
+            got = exact._blocked_dp(logw, N)
             assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
             assert np.all(np.isfinite(got))
             # At alpha = 4096 the first panel's bound, |v_0| times h_0, exceeds
@@ -382,14 +382,112 @@ class TestPanelKernel:
             return R
 
         monkeypatch.setattr(exact._MiddleProduct, "older_terms", measuring)
-        exact._log_linear_dp(logw, n)
+        exact._blocked_dp(logw, n)
         assert ratios and max(ratios) <= exact._FFT_C / 10
 
     def test_bit_identical_reruns_at_a_wide_cap(self):
         logw = saddle_row(10**5, 17782)
         assert exact._panel_blocks(17782) > 1
-        first = exact._log_linear_dp(logw, 10**5)
-        assert np.array_equal(first, exact._log_linear_dp(logw, 10**5))
+        first = exact._blocked_dp(logw, 10**5)
+        assert np.array_equal(first, exact._blocked_dp(logw, 10**5))
+
+
+class TestGeometricScan:
+    """Geometric rows of at least _SCAN_MIN_C weights take the O(N) panel scan."""
+
+    @staticmethod
+    def tilted_row(c, theta, scale, tail=0):
+        """log(theta*x^j), j = 1..c, then `tail` -infs, with log x scale times the saddle's for N."""
+        N = c + 2 * min(c, exact._SCAN_PANEL) + 5  # a partial last panel
+        logw = saddle_row(N, c, theta)
+        logw = math.log(theta) + scale * (logw - math.log(theta))
+        return np.concatenate((logw, np.full(tail, -np.inf))), N
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("c", [128, 1072, 4096, 17782])
+    def test_matches_per_index_reference(self, c, theta, scale):
+        logw, N = self.tilted_row(c, theta, scale)
+        got = exact._geometric_scan(logw, N)
+        assert got is not None
+        assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
+
+    def test_tables_shorter_than_the_row(self):
+        # N <= c: every panel's window still holds the leading zeros for k < 0
+        logw, _ = self.tilted_row(1072, 1.0, 1.0)
+        for N in (0, 1, 500, 1071, 1072, 1073):
+            got = exact._geometric_scan(logw, N)
+            assert got is not None
+            assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
+
+    def test_row_without_its_last_weight(self):
+        # the row without weight alpha: c = alpha - 1 geometric weights, then -inf
+        logw, N = self.tilted_row(1072, 1.0, 1.0, tail=1)
+        got = exact._geometric_scan(logw, N)
+        assert got is not None
+        assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
+
+    @pytest.mark.parametrize("c", [1072, 4096])
+    def test_rescale_inside_a_panel(self, monkeypatch, c):
+        # A narrow rescale range rescales every few panels; from c = 4096 on
+        # each window spans two panels, so a rescale reaches into the panel before.
+        monkeypatch.setattr(exact, "_RESCALE_HI", 2.0**4)
+        monkeypatch.setattr(exact, "_RESCALE_LO", 2.0**-4)
+        events = []
+        stored_logs = exact._stored_logs
+
+        def recording(G, rescales):
+            events.extend(rescales)
+            return stored_logs(G, rescales)
+
+        monkeypatch.setattr(exact, "_stored_logs", recording)
+        N = 20000
+        for slope in (2e-3, -2e-3):  # seven to ten rescales each
+            events.clear()
+            logw = slope * np.arange(1, c + 1)
+            got = exact._geometric_scan(logw, N)
+            assert got is not None and len(events) >= 2
+            assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
+
+    def test_bit_identical_reruns(self):
+        logw = saddle_row(10**5, 17782)
+        first = exact._geometric_scan(logw, 10**5)
+        assert np.array_equal(first, exact._geometric_scan(logw, 10**5))
+
+    @pytest.mark.parametrize(
+        "logw",
+        [
+            np.full(200, 800.0),  # theta*x overflows
+            np.log(1e-5) * np.arange(1, 201),  # x^(c-1) below normal
+            np.full(200, 60.0),  # theta = e^60: the panel's cumprod overflows
+        ],
+    )
+    def test_failed_certificate_leaves_the_row_to_the_kernel(self, logw):
+        assert exact._geometric_scan(logw, 3000) is None
+
+    def test_routing(self, monkeypatch):
+        # Model tables, capped rows and rows without weight alpha from the
+        # crossover on take the scan; rest rows, a compound-Poisson row of
+        # random means and narrower caps take the blocked kernel.
+        kernel_rows = []
+        blocked = exact._blocked_dp
+        monkeypatch.setattr(exact, "_blocked_dp", lambda logw, N: kernel_rows.append(len(logw)) or blocked(logw, N))
+        for n, alpha in EXACT_MODELS:
+            tm = TiltedModel.for_model(ConstraintModel(n=n, alpha=alpha, theta=1.0))
+            scanned = alpha >= exact._SCAN_MIN_C
+            assert kernel_rows == ([] if scanned else [alpha])
+            kernel_rows.clear()
+            if scanned:
+                tm.log_ratio(WeightArray.constant(1.0, alpha).replace(alpha, 0.0), n - 3000)
+                tm.log_ratio(WeightArray.constant(1.0, exact._SCAN_MIN_C), n - 3000)
+                assert kernel_rows == []
+        tm.log_ratio(WeightArray.constant(1.0, exact._SCAN_MIN_C - 1), n - 3000)
+        assert kernel_rows == [exact._SCAN_MIN_C - 1]
+        kernel_rows.clear()
+        rest = np.where(np.arange(1, alpha + 1) > 5, 1.0, 0.0)
+        tm.log_ratio(WeightArray(rest), n - 3000)
+        compound_poisson_pmf(np.random.default_rng(1).uniform(0.0, 3.0, 500), 3000)
+        assert kernel_rows == [alpha, 500]
 
 
 def test_default_panel_transforms_at_3072_points():
@@ -456,20 +554,35 @@ class TestExtremeWeights:
                 cls._reference[key] = np.array([float(mpmath.log(v)) for v in h])
         return cls._reference[key]
 
-    @pytest.mark.parametrize("alpha", [1, 3, 50])
+    @pytest.mark.parametrize("alpha", [1, 3, 50, 128, 400])
     @pytest.mark.parametrize("theta", [1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300])
-    def test_tables_match_40_digit_recurrence_or_raise(self, theta, alpha):
-        expected = self.reference(theta, alpha)
+    def test_tables_match_40_digit_recurrence_or_raise(self, monkeypatch, theta, alpha):
+        # From alpha = _SCAN_MIN_C on a row may take the scan; its outcome must
+        # be the blocked kernel's: the same raise, or the same table.
         q = WeightArray.constant(theta, alpha)
-        tables = [egf_coefficients(q, self.N)]  # every row of this grid fits at its saddle
-        for tilt in (1e-5, 1e5):
-            try:
-                tables.append(egf_coefficients(q, self.N, tilt=tilt))
-            except NumericalError:
-                pass
-        for table in tables:
-            got = np.array([table.log_coefficient(k) for k in range(self.N + 1)])
-            assert_same_logs(got, expected, 1e-12)
+        scan = exact._geometric_scan
+        for tilt in (None, 1e-5, 1e5):
+            tables = []
+            for dp in (scan, lambda logw, N: None):
+                monkeypatch.setattr(exact, "_geometric_scan", dp)
+                try:
+                    tables.append(egf_coefficients(q, self.N, tilt=tilt))
+                except NumericalError:
+                    tables.append(None)
+            scanned, blocked = tables
+            assert (scanned is None) == (blocked is None)
+            if blocked is None:
+                # Every row fits at its saddle but those of alpha = 400 with
+                # theta >= 1e10, whose first window spans more than double range.
+                assert tilt is not None or (alpha == 400 and theta >= 1e10)
+                continue
+            assert_same_logs(scanned.log_tilted_values, blocked.log_tilted_values, 1e-12)
+            # log_coefficient subtracts k*log(tilt) from the stored logs, which at
+            # alpha = 400 and the far tilts loses up to 2.5e-12 on either kernel
+            # (CoefficientTable's far-tilt FOUND in CHANGES.md).
+            if tilt is None or alpha < 400:
+                got = np.array([scanned.log_coefficient(k) for k in range(self.N + 1)])
+                assert_same_logs(got, self.reference(theta, alpha), 1e-12)
 
     def test_row_beyond_double_range_at_its_saddle_raises(self):
         # h_k x^k grows like 5000^k / k! over the first window of 400 entries
@@ -856,6 +969,15 @@ class TestRatioDigits:
         for m in range(5, alpha):
             want = weighted_counts(n, (1,) * m)[n] / a_n
             assert longest_cycle_cdf(model, m) == pytest.approx(want, rel=2e-14, abs=0.0), f"m = {m}"
+
+
+@pytest.mark.parametrize("row", [None, WeightArray.constant(1.0, 5)])
+def test_log_ratio_refuses_an_index_outside_zero_to_n(row):
+    tm = TiltedModel.for_model(ConstraintModel(n=50, alpha=8, theta=1.0))
+    for s in (-1, 51, [0, 51], np.array([-3, 2])):
+        with pytest.raises(DomainError):
+            tm.log_ratio(row, s)
+    assert np.all(np.isfinite(tm.log_ratio(row, [0, 50])))
 
 
 class TestLongestCycleCdf:
