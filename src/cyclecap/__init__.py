@@ -85,7 +85,7 @@ from .sampler import (
     sample_type_array,
 )
 
-__version__ = "0.1.7"
+__version__ = "0.1.8"
 
 __all__ = [
     "__version__",

@@ -14,20 +14,32 @@ Two instantiations are used:
     p_k = P[sum_j j*Y_j = k] for independent Y_j ~ Poisson(mu_j) and
     M = sum mu_j (the same recurrence is known as Panjer's).
 
-Geometric rows, w_j = theta*x^j on 1..c and zero after with c >= 128, take a
-panel scan: every model table, every capped row and the row without weight
-alpha. There k*h_k = theta*sum_{j<=c} x^j h_{k-j}, so on a panel of
-S = min(c, 2048) indices the terms of older coefficients are one positive
-suffix sum of x^t-weighted entries over the last c of them (the common head
-summed pairwise, a cumsum over the S-entry tail), and the in-panel sum
+Geometric rows, w_j = theta*x^j on b+1..c and zero elsewhere with c - b >= 128
+and a zero head of b <= (c-1)/2, take a panel scan: every model table, every
+capped row and the row without weight alpha (b = 0), and the rows without
+weights 1..b of the prefix laws and the TV distance (b >= 1). There
+k*h_k = theta*sum_{b<j<=c} x^j h_{k-j}, so on a panel of S = min(c, 2048)
+indices the terms of older coefficients are positive sums of x^t-weighted
+entries over the last c of them: from d = b on one suffix sum (the common head
+summed pairwise, a cumsum over the S-entry tail), before it a common middle
+sum plus two cumsums of at most b entries. With b = 0 the in-panel sum
 U_d = sum_{i<d} x^-i h_(k0+i) obeys U_(d+1) = (1 + theta/k)*U_d + theta*x*W_d/k
-with positive terms: one cumprod and one cumsum. A table takes N/S Python
-steps and O(N*(1 + c/S)) work. The scan is kept only under a range
-certificate: the powers x^t, the products of the powers with computed
-entries, the cumsum's terms and every entry are finite and normal. A row
-whose logs are not a line within a few ulps, with c below 128, or whose
-certificate fails runs the blocked kernel below, so every raise and retilt is
-the kernel's. Rescales are the kernel's, once per panel.
+with positive terms: one cumprod and one cumsum. With b >= 1 the in-panel
+terms reach h_(k0+d) only from i < d-b, a lag-(b+1) recurrence solved by its
+Neumann series of positive terms, on panels short enough (at most
+b+1+k0/(2*theta)) that each term is at most half the one before. Every
+k > b is then reachable, so h_1..h_b are the table's only zeros, known up
+front; a longer zero head, which leaves interior zeros, stays on the kernel.
+A table takes N/S Python steps and O(N*(1 + c/S)) work, plus the short early
+panels of a zero head. Such a panel costs up to 16 kernel blocks, so a
+zero-head row with more than one panel per 16 blocks (small N, or a large
+theta, whose early panels stay short) stays on the kernel. The scan is
+kept only under a range certificate: the powers x^t, the products of the
+powers with computed nonzero entries, the cumsum's terms and every entry past
+h_b are finite and normal. A row whose logs are not a line within a few ulps,
+with c - b below 128, or whose certificate fails runs the blocked kernel
+below, so every raise and retilt is the kernel's. Rescales are the kernel's,
+once per panel.
 
 The kernel runs in the *linear* domain, one block of B = 16 consecutive
 indices per Python step (a blocked power-series solve in the manner of
@@ -133,6 +145,7 @@ _PANEL_MIN_ALPHA = 4096  # narrower caps advance one block per panel
 _FFT_C = 8.0  # c of the FFT certificate; measured errors stay below a fiftieth of its bound
 _SCAN_MIN_C = 128  # geometric rows from this many weights on take the panel scan (measured crossover)
 _SCAN_PANEL = 2048  # most coefficients per scan panel: bounds each cumsum's and cumprod's rounding
+_HEAD_PANEL_BLOCKS = 16  # kernel blocks one zero-head scan panel costs, at most (measured)
 _GEOMETRIC_ULPS = 8.0  # a row is geometric if its logs are a line within this many eps*max|log|
 _KAPPA = 16.0  # largest cancellation the factorial-moment series of a law may show
 _RESCALE_HI = 2.0**256  # a block above this (or below its inverse) triggers a rescale
@@ -308,96 +321,132 @@ def _stored_logs(G: np.ndarray, events: list) -> np.ndarray:
 
 
 def _geometric_run(logw: np.ndarray):
-    """(c, A, d) where logw[:c] is A + t*d, t = 0..c-1, within _GEOMETRIC_ULPS, then only -inf.
+    """(b, c, A, d) where logw is -inf before b, A + t*d on t = b..c-1, -inf from c on.
 
-    The slope and intercept are the least-squares line, refined from the
-    endpoints' through the residuals. None for any other row and for c
-    below _SCAN_MIN_C.
+    The line holds within _GEOMETRIC_ULPS: w_j = theta*x^j on b+1..c with
+    theta = e^(A-d), x = e^d. The slope and intercept are the least-squares
+    line, refined from the endpoints' through the residuals. None for any
+    other row, for c - b below _SCAN_MIN_C, and for a zero head of
+    b > (c-1)/2, where some k > b cannot be reached and the table has
+    interior zeros.
     """
-    c = len(logw)
-    tail = np.flatnonzero(logw == NEG_INF)
-    if tail.size:
-        c = int(tail[0])
-        if tail.size != len(logw) - c:
-            return None
-    if c < _SCAN_MIN_C or not np.all(np.isfinite(logw[:c])):
+    live = np.flatnonzero(logw != NEG_INF)
+    if live.size == 0:
         return None
-    head = logw[:c]
-    t = np.arange(c, dtype=float)
-    d = (head[-1] - head[0]) / (c - 1)
-    resid = head - (head[0] + t * d)
-    centred = t - 0.5 * (c - 1)
-    d += float(np.dot(centred, resid)) / (c * (c * c - 1.0) / 12.0)
+    b, c = int(live[0]), int(live[-1]) + 1
+    if live.size != c - b or c - b < _SCAN_MIN_C or 2 * b > c - 1:
+        return None
+    head = logw[b:c]
+    if not np.all(np.isfinite(head)):
+        return None
+    L = c - b
+    t = np.arange(b, c, dtype=float)
+    d = (head[-1] - head[0]) / (L - 1)
+    resid = head - (head[0] + (t - b) * d)
+    centred = t - 0.5 * (b + c - 1)
+    d += float(np.dot(centred, resid)) / (L * (L * L - 1.0) / 12.0)
     resid = head - t * d
     A = float(resid.mean())
     if np.abs(resid - A).max() > _GEOMETRIC_ULPS * _EPS * np.abs(head).max():
         return None
-    return c, A, float(d)
+    return b, c, A, float(d)
 
 
 def _geometric_scan(logw: np.ndarray, N: int) -> Optional[np.ndarray]:
-    """log h_k, k = 0..N, for a geometric row by panels of S coefficients, or None.
+    """log h_k, k = 0..N, for a geometric row by panels of coefficients, or None.
 
-    For w_j = theta*x^j on 1..c (zero after), k*h_k = theta*sum_{j<=c} x^j h_{k-j}.
-    On a panel of S <= c indices from k0, the terms of older coefficients
-    into h_(k0+d) are theta*x^(d+1)*W_d with W_d = sum_{s>=d} x^(c-1-s) h_(k0-c+s),
-    one positive suffix sum of the last c entries: its common head is summed
-    pairwise, the S-entry tail by one cumsum. The in-panel sum
-    U_d = sum_{i<d} x^-i h_(k0+i) obeys U_(d+1) = (1 + theta/k)*U_d + theta*x*W_d/k,
-    so U is one cumprod and one cumsum of positive terms, and
-    h_(k0+d) = x^d*theta*(x*W_d + U_d)/k. O(c + S) per panel.
+    For w_j = theta*x^j on b+1..c (zero elsewhere),
+    k*h_k = theta*sum_{b<j<=c} x^j h_{k-j}, so h_1..h_b are exact zeros and
+    the scan starts at k0 = b+1, on the panels of `_scan_spans`. On a panel
+    from k0 the terms of older coefficients into h_(k0+d) are
+    theta*x^(d+1)*W_d with prod[s] = x^(c-1-s) h_(k0-c+s) over the last c
+    entries. From d = b on, W_d = sum_{s>=d} prod[s], one positive suffix sum:
+    its common head is summed pairwise, the tail by one cumsum. Before d = b,
+    W_d = sum prod[d : d+c-b], the common middle prod[b : c-b] plus two
+    cumsums of at most b entries; nothing is subtracted.
+
+    With g_d = x^-d h_(k0+d) and f_d = theta*x*W_d/k, the panel's own terms
+    give g_d = f_d + (theta/k)*sum_{i<d-b} g_i. With b = 0 the in-panel sum
+    U_d = sum_{i<d} g_i obeys U_(d+1) = (1 + theta/k)*U_d + f_d, so U is one
+    cumprod and one cumsum of positive terms. With b >= 1 this lag-(b+1)
+    recurrence is summed as its Neumann series (`_lagged_neumann`), whose
+    terms shrink by q = theta*(span-b-1)/k0 <= 1/2 on the spans allowed.
+    O(c + span) per panel, a few times span more with b >= 1.
 
     Returns None, so that the blocked kernel runs instead, where the row is not
-    geometric (`_geometric_run`) or the range certificate fails: the powers
-    x^t or a panel's products leave the normal range, or an entry comes out
-    non-finite, subnormal or zero. Rescales work as in the kernel.
+    geometric (`_geometric_run`), where a zero-head row needs more than one
+    panel per _HEAD_PANEL_BLOCKS kernel blocks (small N, or theta large
+    enough that the early panels stay short), or where the range certificate
+    fails: the powers x^t or a panel's products with nonzero entries leave
+    the normal range, or an entry past h_b comes out non-finite, subnormal or
+    zero. Rescales work as in the kernel.
     """
     run = _geometric_run(logw)
     if run is None:
         return None
-    c, A, d = run
-    S = min(c, _SCAN_PANEL)
+    b, c, A, d = run
+    lag = b + 1
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         xp = np.exp(np.arange(c) * d)  # x^t, t = 0..c-1
         theta, theta_x = np.exp([A - d, A]).tolist()
         # x^t is monotone in t, so its ends, 1 and x^(c-1), bound it.
         if not (_TINY <= min(xp[-1], 1.0, theta) and max(xp[-1], 1.0, theta_x) < math.inf):
             return None
+        spans = _scan_spans(b, c, theta, N)
+        if b and len(spans) * _HEAD_PANEL_BLOCKS * _BLOCK > N:  # the kernel's N/16 blocks cost less
+            return None
         xr = xp[::-1].copy()  # xr[s] weighs buf[k0 + s], the entry c - s before k0
-        # buf[c + k] holds h_k at the current scale; the c leading zeros stand for k < 0.
+        # buf[c + k] holds h_k at the current scale; the c leading zeros stand for
+        # k < 0, and h_1..h_b stay exact zeros.
         buf = np.zeros(c + N + 1)
         buf[c] = 1.0
         prod = np.empty(c)
         events = []
         exponent = 0
-        for k0 in range(1, N + 1, S):
-            span = min(S, N + 1 - k0)
+        k0 = lag
+        for span in spans:
             np.multiply(xr, buf[k0 : k0 + c], out=prod)
-            if not prod[max(c - k0, 0) :].min() >= _TINY:  # the products of computed entries
+            # the products of computed nonzero entries: h_0, and h_k from k = b+1 on
+            if not (
+                prod[max(c - k0 + lag, 0) :].min(initial=math.inf) >= _TINY
+                and (k0 > c or prod[c - k0] >= _TINY)
+            ):
                 return None
             # W[d] = sum_{s >= d} prod[s]: the tail's cumsum, then the pairwise head
             W = np.cumsum(prod[span - 1 :: -1])[::-1]
             W += prod[span:].sum()
+            if b:
+                # W[d] = sum prod[d : d+c-b] for d < b: the middle, then both ends
+                m = min(b, span)
+                W[:m] = prod[b : c - b].sum()
+                W[:m] += np.cumsum(prod[b - 1 :: -1])[::-1][:m]
+                W[1:m] += np.cumsum(prod[c - b : c - b + m - 1])
             k = np.arange(k0, k0 + span, dtype=float)
             r = theta / k
-            Q = np.cumprod(1.0 + r)  # Q[d] = prod_{i <= d} (1 + theta/(k0+i))
-            b = theta_x * W
-            b /= k
-            terms = b / Q
-            if not terms.min() >= _TINY:  # also where Q overflowed
-                return None
-            # h = x^d*(b_d + theta*U_d/k), U_d = Q_(d-1)*sum_{i<d} terms_i, U_0 = 0
-            h = np.empty(span)
-            h[0] = 0.0
-            np.multiply(Q[:-1], np.cumsum(terms[:-1]), out=h[1:])
-            h *= r
-            h += b
+            f = theta_x * W
+            f /= k
+            if b:
+                if not f.min() >= _TINY:
+                    return None
+                h = _lagged_neumann(f, r, lag, theta * max(span - lag, 0) / k0)
+            else:
+                Q = np.cumprod(1.0 + r)  # Q[d] = prod_{i <= d} (1 + theta/(k0+i))
+                terms = f / Q
+                if not terms.min() >= _TINY:  # also where Q overflowed
+                    return None
+                # g_d = f_d + theta*U_d/k, U_d = Q_(d-1)*sum_{i<d} terms_i, U_0 = 0
+                h = np.empty(span)
+                h[0] = 0.0
+                np.multiply(Q[:-1], np.cumsum(terms[:-1]), out=h[1:])
+                h *= r
+                h += f
             h *= xp[:span]
             total = h.sum()
             if not (h.min() >= _TINY and total < math.inf):
                 return None
             end = c + k0 + span
             buf[end - span : end] = h
+            k0 += span
             if _RESCALE_LO <= total <= _RESCALE_HI:
                 continue
             lo = max(end - c, c)
@@ -406,7 +455,8 @@ def _geometric_scan(logw: np.ndarray, N: int) -> Optional[np.ndarray]:
             if _RESCALE_LO <= top <= _RESCALE_HI:
                 continue
             e = math.frexp(top)[1]
-            if window.min() < math.ldexp(_TINY, max(e, 0)):  # below normal once scaled
+            # below normal once scaled; the exact zeros h_1..h_b stay zero
+            if np.any((window < math.ldexp(_TINY, max(e, 0))) & (window > 0.0)):
                 return None
             np.ldexp(window, -e, out=window)
             exponent += e
@@ -414,12 +464,57 @@ def _geometric_scan(logw: np.ndarray, N: int) -> Optional[np.ndarray]:
     return _stored_logs(buf[c : c + N + 1], events)
 
 
+def _scan_spans(b: int, c: int, theta: float, N: int) -> list:
+    """The span of each scan panel, from k0 = b+1 to N.
+
+    At most min(c, _SCAN_PANEL), and the first at most c-b: past that, h_0,
+    its only nonzero older entry, reaches no index. With a zero head of b >= 1
+    every panel also ends by b+1+k0/(2*theta), so that its Neumann series
+    shrinks by q <= 1/2 per term.
+    """
+    spans = []
+    k0 = b + 1
+    while k0 <= N:
+        span = min(c - b if k0 == b + 1 else c, _SCAN_PANEL, N + 1 - k0)
+        if b:
+            span = int(min(span, b + 1 + k0 / (2.0 * theta)))
+        spans.append(span)
+        k0 += span
+    return spans
+
+
+def _lagged_neumann(f: np.ndarray, r: np.ndarray, lag: int, q: float) -> np.ndarray:
+    """g with g_d = f_d + r_d*sum_{i <= d-lag} g_i, as its Neumann series of positive terms.
+
+    e_0 = f and e_(t+1) = r*shift_lag(cumsum e_t); e_t vanishes before t*lag,
+    so only that suffix is kept. With every r_d*(len - lag) <= q < 1, induction
+    gives max e_t <= max f * q^t/t!, so the terms after e_t sum to at most
+    max f * q^(t+1)/((t+1)!*(1-q)). The sum stops once that is below eps/2 of
+    min f <= min g, or once the next term is empty and the series has ended
+    exactly.
+    """
+    g = f.copy()
+    e = f
+    lo = t = 0
+    rest = f.max() * q / (1.0 - q)
+    floor = 0.5 * _EPS * f.min()
+    while lo + lag < len(g) and rest > floor:
+        lo += lag
+        t += 1
+        e = r[lo:] * np.cumsum(e[: len(g) - lo])
+        g[lo:] += e
+        rest *= q / (t + 1)
+    return g
+
+
 def _log_linear_dp(logw: np.ndarray, N: int) -> np.ndarray:
     """log h_k, k = 0..N, for k*h_k = sum_j exp(logw[j-1])*h_{k-j}, h_0 = 1.
 
-    Geometric rows of at least _SCAN_MIN_C weights take the panel scan; every
-    other row, and any row whose scan fails its certificate, the blocked kernel,
-    which raises NumericalError rather than return entries that left double range.
+    Geometric rows of at least _SCAN_MIN_C weights past a zero head of
+    b <= (c-1)/2 take the panel scan; every other row, a zero-head row whose
+    early panels would cost more than the kernel, and any row whose scan fails
+    its certificate, the blocked kernel, which raises NumericalError rather
+    than return entries that left double range.
     """
     G = _geometric_scan(logw, N)
     return _blocked_dp(logw, N) if G is None else G
@@ -546,12 +641,15 @@ class CoefficientTable:
 def egf_coefficients(q: WeightArray, N: int, tilt: float = None) -> CoefficientTable:
     """Coefficients of exp(sum_j (q_j/j) z^j) up to order N, optionally x-tilted.
 
-    O(N) time for a geometric row (the scan), O(N * alpha) for any other
-    (the blocked kernel). The DP runs at the requested tilt whenever the table
-    fits in double range there, so ratios of tables at one tilt keep every
-    digit. Where it does not (the DP raises), the row is rerun at its saddle
-    tilt for N and the difference is folded into the stored logs; a row that
-    does not fit even there raises NumericalError.
+    O(N) time for a geometric row, q_j x^j = theta*x^j on b+1..c and zero
+    elsewhere with c - b >= 128 and b <= (c-1)/2 (the scan: a model's own row,
+    a capped row, the row without weight alpha, the row without weights
+    1..b), O(N * alpha) for any other (the blocked kernel). The DP runs at the
+    requested tilt whenever the table fits in double range there, so ratios
+    of tables at one tilt keep every digit. Where it does not (the DP raises),
+    the row is rerun at its saddle tilt for N and the difference is folded
+    into the stored logs; a row that does not fit even there raises
+    NumericalError.
     """
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
@@ -724,8 +822,14 @@ def joint_cycle_count_logpmf(model: ConstraintModel, prefix: Sequence[int]) -> L
         return LogReal(NEG_INF)
     tm = TiltedModel.for_model(model)
     log_poisson = float(np.sum(c * np.log(tm.mu[:b]) - [math.lgamma(ci + 1) for ci in c]))
-    rest = WeightArray(np.where(np.arange(1, model.alpha + 1) > b, model.theta, 0.0)) if b else None
-    return LogReal(log_poisson + tm.log_ratio(rest, r))
+    return LogReal(log_poisson + tm.log_ratio(_rest_row(model, b), r))
+
+
+def _rest_row(model: ConstraintModel, b: int) -> Optional[WeightArray]:
+    """The row without weights 1..b, theta on b+1..alpha; None (the model's own row) for b = 0."""
+    if b == 0:
+        return None
+    return WeightArray(np.where(np.arange(1, model.alpha + 1) > b, model.theta, 0.0))
 
 
 @dataclass(frozen=True)
@@ -756,8 +860,7 @@ def exact_tv_distance(model: ConstraintModel, b: int) -> TVReport:
     N_head = _head_length(tm.mu[:b], n)
     log_head[: N_head + 1] = compound_poisson_pmf(tm.mu[:b], N_head).log_pmf_values
     tail = _tail_mass(log_head)
-    rest = WeightArray(np.where(np.arange(1, model.alpha + 1) > b, model.theta, 0.0))
-    log_rho = tm.log_ratio(rest, np.arange(n + 1))
+    log_rho = tm.log_ratio(_rest_row(model, b), np.arange(n + 1))
     with np.errstate(over="ignore"):
         ratio = np.exp(float(np.sum(tm.mu[:b])) + log_rho)
     clamp = np.clip(1.0 - ratio, 0.0, 1.0)

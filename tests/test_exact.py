@@ -307,7 +307,7 @@ class TestPanelKernel:
         first, alpha, N = 20, 5000, 6000
         logw = np.zeros(alpha)
         logw[: first - 1] = -np.inf
-        got = exact._log_linear_dp(logw, N)
+        got = exact._blocked_dp(logw, N)  # the scan takes this row through _log_linear_dp
         assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
         assert np.array_equal(np.isfinite(got), (np.arange(N + 1) == 0) | (np.arange(N + 1) >= first))
         assert False in fft_verdicts  # the first panel's outputs h_1..h_19 are true zeros
@@ -393,15 +393,24 @@ class TestPanelKernel:
 
 
 class TestGeometricScan:
-    """Geometric rows of at least _SCAN_MIN_C weights take the O(N) panel scan."""
+    """Geometric rows of at least _SCAN_MIN_C weights past a zero head take the O(N) panel scan."""
 
     @staticmethod
-    def tilted_row(c, theta, scale, tail=0):
-        """log(theta*x^j), j = 1..c, then `tail` -infs, with log x scale times the saddle's for N."""
+    def tilted_row(c, theta, scale, tail=0, head=0):
+        """log(theta*x^j), j = 1..c, with the first `head` set to -inf, then `tail` -infs.
+
+        log x is scale times the saddle's for N.
+        """
         N = c + 2 * min(c, exact._SCAN_PANEL) + 5  # a partial last panel
         logw = saddle_row(N, c, theta)
         logw = math.log(theta) + scale * (logw - math.log(theta))
+        logw[:head] = -np.inf
         return np.concatenate((logw, np.full(tail, -np.inf))), N
+
+    @pytest.fixture
+    def any_length(self, monkeypatch):
+        """Let zero-head rows take the scan however few coefficients their tables need."""
+        monkeypatch.setattr(exact, "_HEAD_PANEL_BLOCKS", 0)
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("theta", [0.1, 1.0, 3.0])
@@ -412,13 +421,31 @@ class TestGeometricScan:
         assert got is not None
         assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
 
-    def test_tables_shorter_than_the_row(self):
-        # N <= c: every panel's window still holds the leading zeros for k < 0
-        logw, _ = self.tilted_row(1072, 1.0, 1.0)
-        for N in (0, 1, 500, 1071, 1072, 1073):
-            got = exact._geometric_scan(logw, N)
-            assert got is not None
-            assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("c", ["128+b", 1072, 4096, 17782])
+    @pytest.mark.parametrize("b", [1, 3, 19, "(c-1)//2"])
+    def test_zero_head_matches_per_index_reference(self, any_length, b, c, theta):
+        # The rows without weights 1..b: h_1..h_b are exact zeros, every later
+        # entry is reached, and b = (c-1)//2 is the longest head with that property.
+        if c == "128+b":
+            c = 128 + b if b != "(c-1)//2" else 255
+        if b == "(c-1)//2":
+            b = (c - 1) // 2
+        logw, N = self.tilted_row(c, theta, 1.0, head=b)
+        got = exact._geometric_scan(logw, N)
+        assert got is not None
+        assert np.all(got[1 : b + 1] == -np.inf) and np.all(np.isfinite(got[b + 1 :]))
+        assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
+
+    def test_tables_shorter_than_the_row(self, any_length):
+        # N <= c: every panel's window still holds the leading zeros for k < 0;
+        # with a zero head of 19 and N <= 19 the table is h_0 and exact zeros
+        for b in (0, 19):
+            logw, _ = self.tilted_row(1072, 1.0, 1.0, head=b)
+            for N in (0, 1, 18, 19, 20, 500, 1071, 1072, 1073):
+                got = exact._geometric_scan(logw, N)
+                assert got is not None
+                assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
 
     def test_row_without_its_last_weight(self):
         # the row without weight alpha: c = alpha - 1 geometric weights, then -inf
@@ -428,9 +455,10 @@ class TestGeometricScan:
         assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
 
     @pytest.mark.parametrize("c", [1072, 4096])
-    def test_rescale_inside_a_panel(self, monkeypatch, c):
+    def test_rescale_inside_a_panel(self, monkeypatch, any_length, c):
         # A narrow rescale range rescales every few panels; from c = 4096 on
-        # each window spans two panels, so a rescale reaches into the panel before.
+        # each window spans two panels, so a rescale reaches into the panel
+        # before. With a zero head the first rescales reach h_1..h_b, which stay zero.
         monkeypatch.setattr(exact, "_RESCALE_HI", 2.0**4)
         monkeypatch.setattr(exact, "_RESCALE_LO", 2.0**-4)
         events = []
@@ -442,17 +470,35 @@ class TestGeometricScan:
 
         monkeypatch.setattr(exact, "_stored_logs", recording)
         N = 20000
-        for slope in (2e-3, -2e-3):  # seven to ten rescales each
-            events.clear()
-            logw = slope * np.arange(1, c + 1)
-            got = exact._geometric_scan(logw, N)
-            assert got is not None and len(events) >= 2
-            assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
+        for b in (0, 19):
+            first_rescaled = []
+            for slope in (2e-3, -2e-3):  # seven to ten rescales each
+                events.clear()
+                logw = slope * np.arange(1, c + 1)
+                logw[:b] = -np.inf
+                got = exact._geometric_scan(logw, N)
+                assert got is not None and len(events) >= 2
+                assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
+                first_rescaled.append(events[0][0])
+        assert min(first_rescaled) <= b  # a window rescaled while it held h_1..h_19
 
     def test_bit_identical_reruns(self):
-        logw = saddle_row(10**5, 17782)
-        first = exact._geometric_scan(logw, 10**5)
-        assert np.array_equal(first, exact._geometric_scan(logw, 10**5))
+        for b in (0, 19):  # a model table and the row without weights 1..19
+            logw = saddle_row(10**5, 17782)
+            logw[:b] = -np.inf
+            first = exact._geometric_scan(logw, 10**5)
+            assert first is not None
+            assert np.array_equal(first, exact._geometric_scan(logw, 10**5))
+
+    @pytest.mark.parametrize("c", [255, 1072])
+    def test_head_past_half_the_row_takes_the_kernel(self, any_length, c):
+        # b > (c-1)/2 leaves k = c+1 unreachable: an interior zero the scan does not model
+        b = (c - 1) // 2 + 1
+        logw, N = self.tilted_row(c, 1.0, 1.0, head=b)
+        assert exact._geometric_scan(logw, N) is None
+        got = exact._log_linear_dp(logw, N)
+        assert got[c + 1] == -np.inf
+        assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
 
     @pytest.mark.parametrize(
         "logw",
@@ -466,28 +512,31 @@ class TestGeometricScan:
         assert exact._geometric_scan(logw, 3000) is None
 
     def test_routing(self, monkeypatch):
-        # Model tables, capped rows and rows without weight alpha from the
-        # crossover on take the scan; rest rows, a compound-Poisson row of
-        # random means and narrower caps take the blocked kernel.
+        # Model tables, capped rows, rows without weight alpha and the rows
+        # without weights 1..b of the prefix laws and the TV distance from the
+        # crossover on take the scan. Narrower caps, a compound-Poisson row of
+        # random means, a head past (c-1)/2 and a zero-head row whose table is
+        # too short to pay for its early panels take the blocked kernel.
         kernel_rows = []
         blocked = exact._blocked_dp
         monkeypatch.setattr(exact, "_blocked_dp", lambda logw, N: kernel_rows.append(len(logw)) or blocked(logw, N))
         for n, alpha in EXACT_MODELS:
-            tm = TiltedModel.for_model(ConstraintModel(n=n, alpha=alpha, theta=1.0))
+            model = ConstraintModel(n=n, alpha=alpha, theta=1.0)
+            tm = TiltedModel.for_model(model)
             scanned = alpha >= exact._SCAN_MIN_C
             assert kernel_rows == ([] if scanned else [alpha])
             kernel_rows.clear()
             if scanned:
                 tm.log_ratio(WeightArray.constant(1.0, alpha).replace(alpha, 0.0), n - 3000)
                 tm.log_ratio(WeightArray.constant(1.0, exact._SCAN_MIN_C), n - 3000)
+                for b in (3, 19):
+                    tm.log_ratio(exact._rest_row(model, b), 0)
                 assert kernel_rows == []
         tm.log_ratio(WeightArray.constant(1.0, exact._SCAN_MIN_C - 1), n - 3000)
-        assert kernel_rows == [exact._SCAN_MIN_C - 1]
-        kernel_rows.clear()
-        rest = np.where(np.arange(1, alpha + 1) > 5, 1.0, 0.0)
-        tm.log_ratio(WeightArray(rest), n - 3000)
+        tm.log_ratio(exact._rest_row(model, alpha // 2 + 1), n - 3000)
+        tm.log_ratio(exact._rest_row(model, 19), n - 1000)
         compound_poisson_pmf(np.random.default_rng(1).uniform(0.0, 3.0, 500), 3000)
-        assert kernel_rows == [alpha, 500]
+        assert kernel_rows == [exact._SCAN_MIN_C - 1, alpha, alpha, 500]
 
 
 def test_default_panel_transforms_at_3072_points():
