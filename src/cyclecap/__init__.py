@@ -35,7 +35,6 @@ from .exact import (
     expected_cycle_count,
     joint_cycle_count_logpmf,
     longest_cycle_cdf,
-    mgf_Cm,
     partition_function,
 )
 from .limits import (
@@ -51,7 +50,6 @@ from .limits import (
     gamma_floor_pmf,
     poisson_process_battery,
     tightness_moment_estimate,
-    tightness_scaling_check,
 )
 from .model import (
     ConstraintModel,
@@ -59,7 +57,6 @@ from .model import (
     Permutation,
     WeightArray,
     bounded_partitions,
-    cycle_type_of,
     ewens_log_weight,
 )
 from .numerics import LogReal, log_sum_exp_value
@@ -85,7 +82,7 @@ from .sampler import (
     sample_type_array,
 )
 
-__version__ = "0.1.8"
+__version__ = "0.1.9"
 
 __all__ = [
     "__version__",
@@ -107,7 +104,6 @@ __all__ = [
     "WeightArray",
     "CycleType",
     "Permutation",
-    "cycle_type_of",
     "ewens_log_weight",
     "bounded_partitions",
     # exact
@@ -124,7 +120,6 @@ __all__ = [
     "cycle_count_distribution",
     "expected_cycle_count",
     "longest_cycle_cdf",
-    "mgf_Cm",
     # saddle
     "SaddleSolution",
     "solve_saddle",
@@ -154,7 +149,6 @@ __all__ = [
     "poisson_process_battery",
     "TightnessEstimate",
     "tightness_moment_estimate",
-    "tightness_scaling_check",
     "CLTReport",
     "clt_battery",
     "exact_standardized_ks",

@@ -45,8 +45,12 @@ from .exact import (
 from .limits import (
     _clt_means,
     _counts_longer,
+    _critical_mu,
     _cutoffs,
+    _diverging_mu,
     _flatten,
+    _process_grid,
+    _tightness_mu,
     _top_lengths,
     _validated_grid,
     check_longest_critical,
@@ -329,17 +333,25 @@ def _cmd_limits(args) -> int:
         raise ConfigError("--samples is required")
     if args.seed is None:
         raise ConfigError("--seed is required when sampling")
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     check = args.check
-    # List flags are parsed and checked before any draw.
-    if check == "process":
+    # The battery's own argument and regime checks run before any draw.
+    if check == "diverging":
+        _diverging_mu(model, args.K)
+    elif check == "critical":
+        _critical_mu(model, args.k, args.d_max)
+    elif check == "process":
         if not args.grid:
             raise ConfigError("--grid is required for the process battery")
         grid = _parse_float_list(args.grid, "--grid")
+        _process_grid(model, grid, args.subbatches)
     elif check == "tightness":
         triple = _parse_float_list(args.triple, "--triple")
         if len(triple) != 3:
             raise ConfigError("--triple expects 't1,t,t2'")
-    elif check == "clt":
+        _tightness_mu(model, *triple)
+    else:  # clt
         if not args.m_list:
             raise ConfigError("--m-list is required for the clt battery")
         m_list = _parse_int_list(args.m_list, "--m-list")

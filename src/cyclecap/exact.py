@@ -79,6 +79,16 @@ measured uses under a fiftieth of the bound. A panel that fails it
 (windows with true zeros among the outputs, or spanning many orders) runs its
 blocks as narrower caps run every block, one matrix-vector product each.
 
+The panel scan above takes every model table, so the wide-cap rows that
+still reach the FFT are: rows with an interior zero (the g-tables of
+`cycle_count_distribution`, m < alpha), zero heads past (c-1)/2, zero-head
+tables too short to repay the scan, compound-Poisson rows that are not
+geometric, and rows whose scan certificate fails. The FFT stays for them:
+with one matrix-vector product per block instead, a table up to N = n at
+(n, alpha) = (10^5, 17782) takes 0.41 s rather than 0.05 s for the row
+without weight 100, and 0.59 s rather than 0.25 s for the row without
+weights 1..8892 (best of 3, 2-core Xeon, numpy 2.4).
+
 Once per block, if the block leaves [2^-256, 2^256], the active window (the
 last alpha entries) is rescaled by a power of two, which is exact, together
 with the panel's partial sums for its later blocks and the ring of chunk
@@ -136,7 +146,7 @@ from .model import (
     ewens_log_weight,
 )
 from .numerics import NEG_INF, LogReal, log_sum_exp_value
-from .saddle import _model_solution, _perturbed_row, saddle_point_coefficient, solve_saddle
+from .saddle import _model_solution, solve_saddle
 
 _BLOCK = 16  # indices advanced per Python step
 _CHUNK = 256  # blocks whose in-block inverses are built together
@@ -1016,32 +1026,3 @@ def longest_cycle_cdf(model: ConstraintModel, m: int) -> float:
     tm = TiltedModel.for_model(model)
     return math.exp(tm.log_ratio(WeightArray.constant(model.theta, m), 0))
 
-
-def mgf_Cm(model: ConstraintModel, m: int, s: float, mode: str = "exact") -> float:
-    """E[exp(s * C_m)] under the constrained measure.
-
-    exact:  rho_0 of the row with q_m = theta e^s: its table over the model's
-            h-table, both at the unperturbed tilt so they share one scale.
-    approx: ratio of the two leading saddle-point terms (s >= 0, matching the
-            regime the approximation is proved in).
-
-    Raises DomainError at s = nan, and NumericalError where theta e^s or the
-    returned ratio exceeds double range.
-    """
-    q_pert = _perturbed_row(model, m, s)
-    if mode == "exact":
-        log_ratio = TiltedModel.for_model(model).log_ratio(q_pert, 0)
-    elif mode == "approx":
-        if s < 0:
-            raise ConstraintError("approx mode is stated for s >= 0")
-        den = saddle_point_coefficient(_model_solution(model.n, model.alpha, model.theta))
-        num = saddle_point_coefficient(solve_saddle(q_pert, float(model.n)))
-        log_ratio = num.logval - den.logval
-    else:
-        raise ConstraintError(f"unknown mgf mode {mode!r}")
-    try:
-        return math.exp(log_ratio)
-    except OverflowError:
-        raise NumericalError(
-            f"E[exp(s C_{m})] = e^{log_ratio:.6g} exceeds double range at s = {s}"
-        ) from None

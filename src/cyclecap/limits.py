@@ -181,15 +181,48 @@ def _require_regime(model: ConstraintModel, wanted: str) -> float:
     return report.mu_alpha
 
 
+# Each battery's argument and regime checks sit in one helper, which the CLI
+# also calls before it draws, so a refused run costs no samples.
+
+
+def _diverging_mu(model: ConstraintModel, K: int) -> float:
+    """mu_alpha of a diverging battery, once K passes."""
+    if K < 0:
+        raise DomainError(f"K must be >= 0, got {K}")
+    return _require_regime(model, "Diverging")
+
+
+def _critical_mu(model: ConstraintModel, k: int, d_max: int) -> float:
+    """mu_alpha of a critical battery, once k and d_max pass."""
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if d_max < 0:
+        raise DomainError(f"d_max must be >= 0, got {d_max}")
+    return _require_regime(model, "Critical")
+
+
+def _process_grid(model: ConstraintModel, grid, subbatches: int) -> Tuple[np.ndarray, float]:
+    """(grid, mu_alpha) of a process battery, once subbatches and the grid pass."""
+    if subbatches < 1:
+        raise DomainError(f"subbatches must be >= 1, got {subbatches}")
+    g = _validated_grid(grid)
+    return g, _require_regime(model, "Vanishing")
+
+
+def _tightness_mu(model: ConstraintModel, t1: float, t: float, t2: float) -> float:
+    """mu_alpha of a tightness estimate, once the triple is ordered."""
+    if not (0 <= t1 <= t <= t2):
+        raise DomainError(f"need 0 <= t1 <= t <= t2, got ({t1}, {t}, {t2})")
+    return _require_regime(model, "Vanishing")
+
+
 # ---------------------------------------------------------------------------
 # diverging regime
 
 
 def check_longest_diverging(samples: Sequence, model: ConstraintModel, K: int) -> float:
     """Fraction of samples whose K longest cycles all equal alpha (limit: 1)."""
-    if K < 0:
-        raise DomainError(f"K must be >= 0, got {K}")
-    _require_regime(model, "Diverging")
+    _diverging_mu(model, K)
     if K == 0:
         return 1.0
     total = len(samples)
@@ -232,11 +265,7 @@ def check_longest_critical(
     """
     from scipy import special
 
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if d_max < 0:
-        raise DomainError(f"d_max must be >= 0, got {d_max}")
-    mu_a = _require_regime(model, "Critical")
+    mu_a = _critical_mu(model, k, d_max)
     total = len(samples)
     ell_k = _top_lengths(*_checked_flatten(samples, model), total, k)[:, k - 1]
     d = np.minimum(model.alpha - ell_k, d_max + 1)
@@ -364,10 +393,7 @@ def poisson_process_battery(
 
     from ._kolmogorov import ks_two_sided
 
-    if subbatches < 1:
-        raise DomainError(f"subbatches must be >= 1, got {subbatches}")
-    g = _validated_grid(grid)
-    mu_a = _require_regime(model, "Vanishing")
+    g, mu_a = _process_grid(model, grid, subbatches)
     inc, top3 = _process_increments(samples, model, _cutoffs(g, mu_a, model.alpha))
     n_samples = len(inc)
     widths = np.diff(g, prepend=0.0)
@@ -442,9 +468,7 @@ def tightness_moment_estimate(
     samples: Sequence, model: ConstraintModel, t1: float, t: float, t2: float
 ) -> TightnessEstimate:
     """Monte Carlo E[(P_t - P_t1)^2 (P_t2 - P_t)^2] with its standard error."""
-    if not (0 <= t1 <= t <= t2):
-        raise DomainError(f"need 0 <= t1 <= t <= t2, got ({t1}, {t}, {t2})")
-    mu_a = _require_regime(model, "Vanishing")
+    mu_a = _tightness_mu(model, t1, t, t2)
     d = _cutoffs(np.array([t1, t, t2]), mu_a, model.alpha)
     counts = _counts_longer(*_checked_flatten(samples, model), len(samples), d)
     x = counts[:, 1] - counts[:, 0]
@@ -455,41 +479,6 @@ def tightness_moment_estimate(
         value=float(np.mean(vals)),
         std_error=float(np.std(vals) / math.sqrt(len(vals))),
         n_samples=len(vals),
-    )
-
-
-@dataclass(frozen=True)
-class TightnessScalingReport:
-    fitted_constant: float
-    coarsest: Tuple[float, float, float]
-    entries: Tuple[Tuple[Tuple[float, float, float], float, float, bool], ...]
-    all_hold: bool
-
-
-def tightness_scaling_check(
-    samples: Sequence, model: ConstraintModel, triples: Sequence[Tuple[float, float, float]]
-) -> TightnessScalingReport:
-    """Fit C on the coarsest triple, require est <= C*(t2-t1)^2 + 2*se on the rest."""
-    ests = [tightness_moment_estimate(samples, model, *tr) for tr in triples]
-    widths = [tr[2] - tr[0] for tr in triples]
-    coarse = int(np.argmax(widths))
-    if widths[coarse] <= 0:
-        raise DomainError("need at least one triple with t2 > t1")
-    C = ests[coarse].value / widths[coarse] ** 2
-    entries = []
-    all_hold = True
-    for i, (tr, est) in enumerate(zip(triples, ests)):
-        if i == coarse:
-            continue
-        bound = C * widths[i] ** 2
-        holds = est.value <= bound + 2 * est.std_error
-        all_hold &= holds
-        entries.append((tuple(tr), est.value, bound, holds))
-    return TightnessScalingReport(
-        fitted_constant=C,
-        coarsest=tuple(triples[coarse]),
-        entries=tuple(entries),
-        all_hold=all_hold,
     )
 
 

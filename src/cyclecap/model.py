@@ -165,34 +165,11 @@ class Permutation:
             raise StructuralError("mapping is not a bijection")
         self.image = img
 
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and np.array_equal(self.image, other.image)
 
     def __hash__(self):
         return hash(self.image.tobytes())
-
-
-def cycle_type_of(p: Permutation) -> CycleType:
-    """Cycle-length multiplicities of the permutation."""
-    n = p.n
-    img = p.image
-    seen = np.zeros(n, dtype=bool)
-    pairs = {}
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = img[i]
-            length += 1
-        pairs[length] = pairs.get(length, 0) + 1
-    return CycleType(n, pairs=pairs.items())
 
 
 def ewens_log_weight(t: CycleType, theta: float) -> LogReal:

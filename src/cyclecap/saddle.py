@@ -25,9 +25,8 @@ coefficient approximation
 
     [z^n] f(z) exp(sum_j (q_j/j) z^j)  ~=  f(x) e^lambda_0 / (x^n sqrt(2 pi lambda_2)),
 
-and the h(s) calculus used by the central-limit checks. Exact quantities,
-the moment generating function of C_m included, live in `exact`, which builds
-on this module; nothing here imports `exact`.
+and the h(s) calculus used by the central-limit checks. Exact quantities
+live in `exact`, which builds on this module; nothing here imports `exact`.
 """
 
 from __future__ import annotations
@@ -294,15 +293,10 @@ def saddle_point_coefficient(sol: SaddleSolution, f: Optional[FunctionProbe] = N
 
 
 def _perturbed_row(model: ConstraintModel, m: int, log_factor: float) -> WeightArray:
-    """The model's row with q_m = theta * e^log_factor.
+    """The model's row with q_m = theta * e^log_factor, for 1 <= m <= alpha.
 
-    A NaN log factor raises DomainError, a weight past double range
-    NumericalError.
+    A weight past double range raises NumericalError.
     """
-    if not (1 <= m <= model.alpha):
-        raise ConstraintError(f"m must satisfy 1 <= m <= alpha={model.alpha}, got {m}")
-    if math.isnan(log_factor):
-        raise DomainError(f"the log factor of q_{m} must not be NaN")
     try:
         q_m = model.theta * math.exp(log_factor)
     except OverflowError:
@@ -343,13 +337,16 @@ def clt_h_calculus(model: ConstraintModel, m: int, s: float) -> HCalculus:
     mu = mu_m is fixed at the unperturbed (s = 0) tilt. Negative s is accepted
     (the equation stays well-posed); the limit statements hold for s >= 0.
     At s = 0 the perturbed row is the model's own, whose solution is reused.
-    A non-finite s is refused with DomainError, and an s whose perturbed
-    weight theta e^(s/sqrt(mu)) exceeds double range with NumericalError.
+    A non-finite s is refused with DomainError. A mu_m that underflows to 0,
+    and an s whose perturbed weight theta e^(s/sqrt(mu)) exceeds double
+    range, raise NumericalError.
     """
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s}")
     sol = solve_model_saddle(model)
     mu_m = mu(sol, model.theta, m)
+    if mu_m == 0.0:
+        raise NumericalError(f"mu_{m} underflows to 0 at the tilt x = {sol.x:.6g}")
     sqrt_mu = math.sqrt(mu_m)
     q_pert = _perturbed_row(model, m, s / sqrt_mu)
     if s != 0:

@@ -77,6 +77,13 @@ class TestExitCodes:
         argv = ["clt", "--n", "2000", "--alpha", "12", "--m-list", "10", "--s-grid", "10000"]
         assert run(argv) == 3
 
+    @pytest.mark.parametrize("alpha,theta", [("100", "1e300"), ("50", "1e200")])
+    def test_underflowed_mu_m_exits_three(self, capsys, alpha, theta):
+        # x is about 1/theta, so mu_alpha = theta x^alpha / alpha is 0.0 in double
+        argv = ["clt", "--n", "100", "--alpha", alpha, "--theta", theta, "--m-list", alpha, "--s-grid", "0"]
+        assert run(argv) == 3
+        assert capsys.readouterr().out == ""
+
     def test_regime_guard_exits_four(self, capsys):
         # alpha = 95 at n = 2000 is critical; the diverging battery refuses
         code = run(
@@ -296,6 +303,40 @@ class TestNonFiniteListFlags:
             "--m-list", m_list, "--samples", "100000", "--seed", "1",
         ]
         assert run(argv) == code
+        assert capsys.readouterr().out == ""
+
+
+class TestLimitsRefusesBeforeDrawing:
+    """Each battery's argument checks and regime guard run before any draw."""
+
+    @pytest.mark.parametrize(
+        "alpha,check,flags,code",
+        [
+            ("12", "diverging", ["--K", "-1"], 2),
+            ("95", "critical", ["--k", "0"], 2),
+            ("95", "critical", ["--d-max", "-1"], 2),
+            ("639", "process", ["--grid", "1", "--subbatches", "0"], 2),
+            ("639", "process", ["--grid", "2,1"], 2),
+            ("639", "tightness", ["--triple", "2,1,0"], 2),
+            ("12", "diverging", ["--samples", "-1"], 2),
+            ("639", "diverging", [], 4),
+            ("12", "critical", [], 4),
+            ("95", "process", ["--grid", "1"], 4),
+            ("95", "tightness", [], 4),
+            # an argument error wins over the regime guard
+            ("12", "critical", ["--k", "0"], 2),
+        ],
+    )
+    def test_refused_run_draws_nothing(self, capsys, monkeypatch, alpha, check, flags, code):
+        from cyclecap import cli, limits
+
+        def no_draw(*args):
+            raise AssertionError("drew samples before refusing the run")
+
+        monkeypatch.setattr(cli, "sample_lengths", no_draw)
+        monkeypatch.setattr(limits, "sample_lengths", no_draw)
+        argv = ["limits", "--n", "2000", "--alpha", alpha, "--check", check, "--samples", "10000"]
+        assert run([*argv, "--seed", "1", *flags]) == code
         assert capsys.readouterr().out == ""
 
 

@@ -385,6 +385,16 @@ class TestPanelKernel:
         exact._blocked_dp(logw, n)
         assert ratios and max(ratios) <= exact._FFT_C / 10
 
+    def test_a_public_law_runs_certified_panels(self, fft_verdicts):
+        # The law of C_m for m < alpha reads the row without weight m, whose
+        # interior zero keeps it off the geometric scan and on the panels.
+        model = ConstraintModel(n=65536, alpha=8192, theta=1.0)
+        exact._count_law.cache_clear()  # a law cached by an earlier test builds nothing
+        p = np.exp(cycle_count_distribution(model, 50))
+        assert any(fft_verdicts)
+        assert abs(p.sum() - 1.0) < 1e-10
+        assert abs(np.arange(len(p)) @ p - expected_cycle_count(model, 50)) < 1e-10
+
     def test_bit_identical_reruns_at_a_wide_cap(self):
         logw = saddle_row(10**5, 17782)
         assert exact._panel_blocks(17782) > 1

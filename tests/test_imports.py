@@ -1,8 +1,13 @@
-"""Every imported name is used: an unused-import check on the standard library's ast.
+"""Every imported name is used, and every exported name has a caller: two
+checks on the standard library's ast.
 
 A name bound by an import must be referenced somewhere in its file, be listed
 in the file's `__all__`, or sit on a line marked `# noqa: F401` (a name kept
 for callers outside the file).
+
+A name in `cyclecap.__all__` must be referenced by a module of the package
+or of `perfbench/`, outside its own definition; `__init__.py` and the tests
+do not count. The allowlist names each exception and why it stays.
 """
 
 import ast
@@ -45,3 +50,57 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\n__all__ = ['tau']\n"
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+# Exported for users though nothing in the package calls them.
+EXPORT_ALLOWLIST = {
+    "sample_permutation": "the documented permutation sampler; the package itself draws cycle types",
+    "sample_type_array": "the dense count-matrix sampler that acceptance criterion 3 draws from",
+}
+CALLER_FILES = sorted(
+    p
+    for p in [*ROOT.glob("src/cyclecap/*.py"), *ROOT.glob("perfbench/*.py")]
+    if p.name != "__init__.py"
+)
+
+
+def referenced_names(source: str):
+    """Names and attributes the source reads, outside the body that defines each name."""
+    names = set()
+    for stmt in ast.parse(source).body:
+        here = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                here.add(node.attr)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            here.discard(stmt.name)
+        names |= here
+    return names
+
+
+def uncalled_exports(init_source: str, caller_sources):
+    """Names in `__all__` of the init source that no caller source references."""
+    tree = ast.parse(init_source)
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    )
+    used = set().union(*(referenced_names(s) for s in caller_sources))
+    return sorted(name for name in exported if name not in used)
+
+
+def test_every_export_has_a_caller():
+    init = (ROOT / "src/cyclecap/__init__.py").read_text()
+    uncalled = uncalled_exports(init, [p.read_text() for p in CALLER_FILES])
+    assert uncalled == sorted(EXPORT_ALLOWLIST)
+
+
+def test_the_check_sees_an_uncalled_export():
+    init = "from .a import f, g, h\n__all__ = ['f', 'g', 'h']\n"
+    callers = ["def f():\n    return f()\n", "from .a import g\ng()\n", "import pkg\npkg.h()\n"]
+    assert uncalled_exports(init, callers) == ["f"]
+    assert uncalled_exports(init, [*callers, "def k():\n    return f()\n"]) == []
+    assert uncalled_exports(init, ["from .a import f, g, h  # noqa: F401\n"]) == ["f", "g", "h"]

