@@ -15,11 +15,11 @@ defaults: each entry is read as the flag --name=value placed ahead of the
 command line, so it is parsed and checked like the flag itself, and an
 explicit flag always wins. A numeric flag takes a JSON number, any other flag
 a JSON string. List flags (--grid, --s-grid, --triple) take finite numbers
-only. --workers is deprecated and will be removed in the next release; it is
-accepted and has no effect: sampling runs in one process, since a draw costs
-far less than the coefficient table each worker process would rebuild, and
-per-index stream derivation makes results independent of how a batch is
-split.
+only. --workers is deprecated; it is accepted and has no effect, and it stays
+while perfbench's cli workload still passes it. Sampling runs in one process,
+since a draw costs far less than the coefficient table each worker process
+would rebuild, and per-index stream derivation makes results independent of
+how a batch is split.
 """
 
 from __future__ import annotations
@@ -378,6 +378,8 @@ def _cmd_clt(args) -> int:
     model = _model_from_args(args)
     if args.m_list is None:
         raise ConfigError("--m-list is required")
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     m_list = _parse_int_list(args.m_list, "--m-list")
     s_grid = _parse_float_list(args.s_grid, "--s-grid")
     entries = [

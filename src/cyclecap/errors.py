@@ -30,7 +30,10 @@ class DegenerateWeightsError(ConfigError):
 
 
 class SizeGuardError(ConfigError):
-    """Request exceeds a hard size guard (brute force n > 12)."""
+    """Request exceeds a hard size guard (brute force n > 12, an array past _BYTE_GUARD)."""
+
+
+_BYTE_GUARD = 4_000_000_000  # bytes one table or sample matrix may take
 
 
 class NumericalError(CycleCapError):

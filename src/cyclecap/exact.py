@@ -54,47 +54,17 @@ is a nonnegative Neumann series; the inverses of a chunk of blocks are built
 together by vectorised forward substitution. All terms are nonnegative, so no
 sum cancels.
 
-On wide caps (alpha >= 4096) M takes 512 KiB or more, and one
-matrix-vector product per block reads all of it at memory speed. There the
-blocks advance in panels of P = 96, after van der Hoeven's relaxed
-multiplication ("Relax, but don't be too lazy", JSC 2002): the terms that
-coefficients older than a panel carry into its blocks are a Toeplitz middle
-product of the weights with the panel's old window (Hanrot, Quercia &
-Zimmermann, "The middle product algorithm I", AAECC 2004). Consecutive
-panels' windows share all but S = P*B entries, so the product is partitioned
-(Stockham, "High-speed convolution and correlation", AFIPS 1966): the
-weights are cut once per table into m = ceil(alpha/S) overlapping segments
-of 2S, each chunk of S coefficients is transformed once, when the panel after
-it starts, and a panel's older terms are one inverse FFT of the sum of m
-segment-times-chunk spectra, all at length L = 2S = 3072. That is O(alpha +
-S log S) per panel rather than P*B*alpha multiply-adds. Each block then adds
-only the terms of the panel's earlier blocks, at most P*B columns of M.
-
-The FFT's rounding is relative to the norms, not to each output, so it is
-taken only under a certificate: every term is nonnegative, and the bound
-c*eps*(log2(L) + m)*sum_d |v_d|_2*|c_(p-d)|_2, summed over segments v_d and
-the chunks c they meet, must lie below alpha*eps*min_t y_t, the worst case of
-the alpha-term dot products it replaces. With c = 8 the largest error
-measured uses under a fiftieth of the bound. A panel that fails it
-(windows with true zeros among the outputs, or spanning many orders) runs its
-blocks as narrower caps run every block, one matrix-vector product each.
-
-The panel scan above takes every model table, so the wide-cap rows that
-still reach the FFT are: rows with an interior zero (the g-tables of
-`cycle_count_distribution`, m < alpha), zero heads past (c-1)/2, zero-head
-tables too short to repay the scan, compound-Poisson rows that are not
-geometric, and rows whose scan certificate fails. The FFT stays for them:
-with one matrix-vector product per block instead, a table up to N = n at
-(n, alpha) = (10^5, 17782) takes 0.41 s rather than 0.05 s for the row
-without weight 100, and 0.59 s rather than 0.25 s for the row without
-weights 1..8892 (best of 3, 2-core Xeon, numpy 2.4).
+Rows the scan does not take cost O(N*alpha) multiply-adds in N/16 steps, one
+matrix-vector product per block: at (n, alpha) = (10^5, 17782) a table up to
+N = n takes 0.43-0.55 s for the row without weight 100 and 0.63-0.87 s for
+the row without weights 1..8892, and the law of C_50 at (65536, 8192)
+0.09-0.15 s (best of 3 per run, four runs, shared 2-core x86-64, numpy 2.4).
 
 Once per block, if the block leaves [2^-256, 2^256], the active window (the
-last alpha entries) is rescaled by a power of two, which is exact, together
-with the panel's partial sums for its later blocks and the ring of chunk
-spectra, and the exponent is recorded for the stored logs. Per-step
-relative error is a few ulps and accumulates additively, so even k = 10^6
-stays well inside the 1e-10 recurrence contract. Exact zeros stay exact.
+last alpha entries) is rescaled by a power of two, which is exact, and the
+exponent is recorded for the stored logs. Per-step relative error is a few
+ulps and accumulates additively, so even k = 10^6 stays well inside the 1e-10
+recurrence contract. Exact zeros stay exact.
 
 The kernel raises NumericalError instead of returning a damaged table: when a
 block overflows, when a rescale would push a nonzero entry below the normal
@@ -132,6 +102,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    _BYTE_GUARD,
     ConstraintError,
     DegenerateWeightsError,
     DomainError,
@@ -150,9 +121,6 @@ from .saddle import _model_solution, solve_saddle
 
 _BLOCK = 16  # indices advanced per Python step
 _CHUNK = 256  # blocks whose in-block inverses are built together
-_PANEL = 96  # blocks per panel on wide caps
-_PANEL_MIN_ALPHA = 4096  # narrower caps advance one block per panel
-_FFT_C = 8.0  # c of the FFT certificate; measured errors stay below a fiftieth of its bound
 _SCAN_MIN_C = 128  # geometric rows from this many weights on take the panel scan (measured crossover)
 _SCAN_PANEL = 2048  # most coefficients per scan panel: bounds each cumsum's and cumprod's rounding
 _HEAD_PANEL_BLOCKS = 16  # kernel blocks one zero-head scan panel costs, at most (measured)
@@ -222,98 +190,6 @@ def _recurrence_residual(k: int, logw: np.ndarray, log_values: np.ndarray) -> fl
     if lhs == NEG_INF and rhs == NEG_INF:
         return 0.0
     return abs(math.expm1(rhs - lhs))
-
-
-def _panel_blocks(alpha: int) -> int:
-    """Blocks per panel: one below _PANEL_MIN_ALPHA, _PANEL from there on."""
-    return _PANEL if alpha >= _PANEL_MIN_ALPHA else 1
-
-
-def _norm(v: np.ndarray) -> float:
-    """|v|_2 of a nonnegative vector, scaled so that tiny entries cannot underflow it."""
-    top = v.max(initial=0.0)
-    return top * math.sqrt(np.dot(v / top, v / top)) if top > 0 else 0.0
-
-
-class _MiddleProduct:
-    """A panel's older terms from a partitioned FFT middle product, where it is certified.
-
-    With S = P*B entries per panel, panel p computes G_k for k = pS+1..(p+1)S,
-    and chunk j holds G_k for k = (j-1)S+1..jS (G_k = 0 for k < 0), the entries
-    that panel j-1 finished. With w_j = 0 outside 1..alpha, the weights are cut
-    into m = ceil(alpha/S) overlapping segments v_d = w[dS : dS+2S]. The terms
-    that chunk p-d carries into index pS+1+t of panel p are
-    sum_s v_d[S+t-s] c_s, output S+t of the cyclic convolution of v_d and the
-    chunk at length L = 2S, into which no used output wraps. Chunks older than
-    p-m+1 reach no output of panel p. So each segment is transformed once per
-    table, each chunk once, when the panel after it starts, into a ring of m
-    chunk spectra, and a panel's older terms are one irfft of
-    sum_d V_d C_(p-d) (uniformly partitioned convolution: Stockham, AFIPS 1966).
-    """
-
-    def __init__(self, w: np.ndarray, S: int):
-        self.alpha = len(w)
-        self.S = S
-        self.L = 2 * S
-        self.m = m = -(-self.alpha // S)
-        padded = np.zeros((m + 1) * S)
-        padded[1 : self.alpha + 1] = w
-        segments = sliding_window_view(padded, self.L)[::S]
-        self.v_hat = np.fft.rfft(segments, axis=1)
-        self.v_norms = np.array([_norm(v) for v in segments])
-        # Chunk p sits at slot (-p) mod m, so the chunk at lag d from the
-        # current panel's is at slot (slot + d) mod m.
-        self.ring = np.zeros((m, S + 1), dtype=complex)
-        self.c_norms = np.zeros(m)
-        self.slot = 0
-
-    def _push(self, buf: np.ndarray, K0: int) -> None:
-        """Transform the chunk before the panel at K0, buf[alpha+K0-S : alpha+K0], into the ring."""
-        lo = self.alpha + K0 - self.S
-        chunk = buf[max(lo, 0) : self.alpha + K0]
-        if lo < 0:  # chunk 0 starts before the buffer's leading zeros; G is zero there too
-            chunk = np.concatenate((np.zeros(-lo), chunk))
-        self.slot = -((K0 - 1) // self.S) % self.m
-        self.ring[self.slot] = np.fft.rfft(chunk, self.L)
-        self.c_norms[self.slot] = _norm(chunk)
-
-    def error_bound(self) -> float:
-        """A bound on the current panel's rounding in any output of its older terms.
-
-        Each segment's cyclic convolution is off by at most
-        c*eps*log2(L)*|v_d|_2*|c_(p-d)|_2 (the normwise bound of the transforms,
-        Higham, Accuracy and Stability, section 24.1); summing m products in the
-        frequency domain adds (m-1)*eps times the sum of their magnitudes, which
-        maps to at most (m-1)*eps*sum_d |v_d||c_(p-d)| in any output. The
-        absolute floor covers products and ring spectra pushed below normal.
-        """
-        norms = float(np.dot(self.v_norms, np.roll(self.c_norms, -self.slot)))
-        floor = self.L * _TINY * (1.0 + float(self.v_norms.sum()))
-        return _FFT_C * _EPS * (math.log2(self.L) + self.m) * norms + floor
-
-    def older_terms(self, buf: np.ndarray, K0: int, blocks: int):
-        """The older terms of the panel at K0 as `blocks` rows of B, or None where uncertified.
-
-        Called once per panel, in order: it first pushes the chunk the previous
-        panel finished. An alpha-term dot product of nonnegative terms is off by
-        at most alpha*eps times its value; the FFT result is taken only when its
-        bound is below that at every output.
-        """
-        self._push(buf, K0)
-        spectrum = self.v_hat[0] * self.ring[self.slot]
-        term = np.empty_like(spectrum)
-        for d in range(1, self.m):  # one row at a time: no m-row temporary
-            spectrum += np.multiply(self.v_hat[d], self.ring[(self.slot + d) % self.m], out=term)
-        y = np.fft.irfft(spectrum, self.L)[self.S : self.S + blocks * _BLOCK]
-        low = y.min()
-        if 0.0 < low < math.inf and self.error_bound() <= self.alpha * _EPS * low:
-            return y.reshape(blocks, _BLOCK)
-        return None
-
-    def rescale(self, e: int) -> None:
-        """Scale the ring by 2^-e with the window it was taken from."""
-        np.ldexp(self.ring.view(float), -e, out=self.ring.view(float))
-        np.ldexp(self.c_norms, -e, out=self.c_norms)
 
 
 def _stored_logs(G: np.ndarray, events: list) -> np.ndarray:
@@ -537,7 +413,6 @@ def _blocked_dp(logw: np.ndarray, N: int) -> np.ndarray:
     """
     alpha = len(logw)
     B = _BLOCK
-    P = _panel_blocks(alpha)
     with np.errstate(under="ignore", over="ignore"):
         w = np.exp(logw)
     # M[i, p] = w_{alpha+i-p} carries G_{K-alpha+p} into G_{K+i} (zero for p < i).
@@ -553,21 +428,12 @@ def _blocked_dp(logw: np.ndarray, N: int) -> np.ndarray:
     buf[alpha] = 1.0
     events = []  # (first k rescaled, cumulative power of two) per rescale
     exponent = 0
-    R = None  # the current panel's certified older terms, one row per block
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        fft = _MiddleProduct(w, P * B) if P > 1 else None
         for c0 in range(1, N + 1, B * _CHUNK):
             starts = np.arange(c0, min(c0 + B * _CHUNK, N + 1), B)
             for inv, K in zip(_block_inverses(w_head, starts), starts.tolist()):
                 end = K + alpha + B
-                if fft is not None:
-                    c = (K - 1) // B % P  # the block's place in its panel
-                    if c == 0:
-                        R = fft.older_terms(buf, K, min(P, (N - K) // B + 1))
-                if R is not None:  # add the terms from the panel's own earlier blocks
-                    q0 = max(alpha - c * B, 0)
-                    r = R[c] + M[:, q0:] @ buf[K + q0 : K + alpha]
-                elif K < alpha:  # only the last K columns meet computed entries
+                if K < alpha:  # only the last K columns meet computed entries
                     r = M[:, alpha - K :] @ buf[alpha : K + alpha]
                 else:
                     r = M @ buf[K : K + alpha]
@@ -593,13 +459,6 @@ def _blocked_dp(logw: np.ndarray, N: int) -> np.ndarray:
                 if small.any() and np.any(window[small] > 0.0):
                     raise NumericalError("the DP window spans more than double range")
                 np.ldexp(window, -e, out=window)
-                if fft is not None:
-                    fft.rescale(e)
-                if R is not None:
-                    # The panel's later rows were summed at the old scale. A row
-                    # pushed below normal is off by under 2^-1074, less than an
-                    # ulp of the normal entries it feeds; those stay guarded.
-                    np.ldexp(R[c + 1 :], -e, out=R[c + 1 :])
                 exponent += e
                 events.append((lo - alpha, exponent))
     G = buf[alpha : alpha + N + 1]
@@ -659,12 +518,15 @@ def egf_coefficients(q: WeightArray, N: int, tilt: float = None) -> CoefficientT
     of tables at one tilt keep every digit. Where it does not (the DP raises),
     the row is rerun at its saddle tilt for N and the difference is folded
     into the stored logs; a row that does not fit even there raises
-    NumericalError.
+    NumericalError. A table whose buffer of N + alpha + B + 1 doubles would
+    pass _BYTE_GUARD raises SizeGuardError before anything is allocated.
     """
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
     if q.is_degenerate:
         raise DegenerateWeightsError("all weights are zero")
+    if 8 * (N + q.alpha + _BLOCK + 1) > _BYTE_GUARD:
+        raise SizeGuardError(f"a table up to N = {N} at alpha = {q.alpha} exceeds the size guard")
     x = 1.0 if tilt is None else float(tilt)
     if not (x > 0) or math.isinf(x):
         raise DomainError(f"tilt must be a positive real, got {tilt}")

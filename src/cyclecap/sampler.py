@@ -56,7 +56,7 @@ from typing import Iterator, List
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SizeGuardError
+from .errors import _BYTE_GUARD, DomainError, NumericalError, SizeGuardError
 from .exact import CoefficientTable, TiltedModel
 from .model import ConstraintModel, Permutation
 from .saddle import solve_saddle  # noqa: F401  (perfbench/tests check the tracer rebinds it here)
@@ -78,8 +78,6 @@ _MEMBER_STREAM_OFFSET = 1 << 32
 # numpy overhead is small against the per-sample work; the int32 lengths
 # matrix of a chunk takes 16 KiB per cycle of its longest draw.
 _CHUNK = 4096
-
-_TYPE_ARRAY_BYTE_GUARD = 4_000_000_000
 
 
 def mix64(z: int) -> int:
@@ -280,7 +278,7 @@ def sample_type_array(model: ConstraintModel, count: int, seed: int) -> np.ndarr
     Row i is the draw at stream index i.
     """
     _check_count(count)
-    if (count * model.n) * 4 > _TYPE_ARRAY_BYTE_GUARD:
+    if (count * model.n) * 4 > _BYTE_GUARD:
         raise SizeGuardError(
             f"type matrix of {count} x {model.n} exceeds the size guard; "
             "use sample_lengths instead"

@@ -109,6 +109,28 @@ class TestExitCodes:
     def test_oracle_size_guard_is_config_error(self, capsys):
         assert run(["oracle", "--n", "40", "--alpha", "3"]) == 2
 
+    def test_table_past_the_byte_guard_is_config_error(self, capsys, monkeypatch):
+        from cyclecap import exact
+
+        def no_table(logw, N):
+            raise AssertionError("started a table past the size guard")
+
+        monkeypatch.setattr(exact, "_log_linear_dp", no_table)
+        assert run(["partition", "--n", str(10**12), "--alpha", "2"]) == 2
+        assert "size guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "1"]])
+    def test_clt_negative_samples_refused_before_the_h_calculus(self, capsys, monkeypatch, seed):
+        from cyclecap import cli
+
+        def no_calculus(*args):
+            raise AssertionError("ran the h-calculus before refusing the run")
+
+        monkeypatch.setattr(cli, "clt_h_calculus", no_calculus)
+        argv = ["clt", "--n", "2000", "--alpha", "12", "--m-list", "10", "--s-grid", "0", "--samples", "-1"]
+        assert run([*argv, *seed]) == 2
+        assert "--samples must be >= 0" in capsys.readouterr().err
+
     def test_numerical_error_exits_three(self, capsys, monkeypatch):
         from cyclecap import cli
         from cyclecap.errors import NumericalError

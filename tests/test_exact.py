@@ -126,6 +126,33 @@ def saddle_row(n, alpha, theta=1.0):
 EXACT_MODELS = [(10**4, 10), (10**5, 100), (10**5, 1072), (10**6, 1000), (10**4, 2511), (10**5, 17782)]
 
 
+def subnormal_tail(alpha):
+    """log of a row whose weights past 1000 are subnormal: rescales push its later entries below normal."""
+    logw = np.full(alpha, -720.0)
+    logw[:1000] = 0.01 * np.arange(1, 1001)
+    return logw
+
+
+# (logw, N) of rows the scan does not take: the benchmark rows, and wide rows
+# whose windows span e^(0.02*alpha) = e^82, so the kernel rescales them
+# several times, growing or decaying.
+KERNEL_ROWS = {
+    "100000-100": lambda: (saddle_row(10**5, 100), 10**5),
+    "100000-1072": lambda: (saddle_row(10**5, 1072), 10**5),
+    "100000-17782": lambda: (saddle_row(10**5, 17782), 10**5),
+    "slope0.02": lambda: (0.02 * np.arange(1, 4097), 30000),
+    "slope-0.02": lambda: (-0.02 * np.arange(1, 4097), 30000),
+    "subnormal-tail": lambda: (subnormal_tail(4096), 60000),
+}
+
+RAISING_HEADS = [
+    np.array([200.0] * 5),  # a block overflows
+    np.array([-np.inf, -800.0]),  # h_2 = w_2/2 > 0, but w_2 underflows to zero
+    np.array([-720.0]),  # h_1 = w_1 is subnormal
+    np.array([-700.0, 50.0]),  # odd entries sit e^-750 below the even ones in one window
+]
+
+
 class TestBlockedKernel:
     @pytest.mark.parametrize("alpha", [1, 2, 5, 17, 64, 100])
     def test_matches_per_index_reference_across_block_boundaries(self, alpha):
@@ -139,13 +166,13 @@ class TestBlockedKernel:
         logw = np.log(np.linspace(0.5, 1.5, 7))
         assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-13)
 
-    @pytest.mark.parametrize("support", [(3, 6), (20, 100)])
+    # (first weight, alpha, N); the scan would take the wide row, so the kernel runs directly
+    @pytest.mark.parametrize("support", [(3, 6, 300), (20, 100, 300), (20, 5000, 6000)])
     def test_zero_prefix_rows_keep_exact_zeros(self, support):
-        first, alpha = support
+        first, alpha, N = support
         logw = np.zeros(alpha)
         logw[: first - 1] = -np.inf
-        N = 300
-        got = exact._log_linear_dp(logw, N)
+        got = exact._blocked_dp(logw, N)
         assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-13)
         reachable = np.zeros(N + 1, dtype=bool)
         reachable[0] = True
@@ -153,15 +180,16 @@ class TestBlockedKernel:
             reachable[k] = any(reachable[k - j] for j in range(first, min(alpha, k) + 1))
         assert np.array_equal(np.isfinite(got), reachable)
 
-    @pytest.mark.parametrize("n,alpha", [(10**5, 100), (10**5, 1072), (10**5, 17782)])
-    def test_matches_reference_on_benchmark_tables(self, n, alpha):
-        logw = saddle_row(n, alpha)
-        assert_same_logs(exact._blocked_dp(logw, n), log_linear_dp_reference(logw, n), 1e-12)
+    @pytest.mark.parametrize("row", KERNEL_ROWS.values(), ids=KERNEL_ROWS.keys())
+    def test_matches_reference_on_benchmark_tables(self, row):
+        logw, N = row()
+        assert_same_logs(exact._blocked_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
 
     def test_bit_identical_reruns(self):
-        logw = saddle_row(20000, 300)
-        first = exact._blocked_dp(logw, 20000)
-        assert np.array_equal(first, exact._blocked_dp(logw, 20000))
+        for n, alpha in ((20000, 300), (10**5, 17782)):
+            logw = saddle_row(n, alpha)
+            first = exact._blocked_dp(logw, n)
+            assert np.array_equal(first, exact._blocked_dp(logw, n))
 
     @pytest.mark.parametrize("n,alpha", EXACT_MODELS)
     def test_recurrence_contract_on_benchmark_models(self, n, alpha):
@@ -176,13 +204,7 @@ class TestBlockedKernel:
         assert_same_logs(exact._log_linear_dp(logw, 40), log_linear_dp_reference(logw, 40), 1e-13)
 
     @pytest.mark.parametrize(
-        "logw",
-        [
-            [200.0] * 5,  # a block overflows
-            [-np.inf, -800.0],  # h_2 = w_2/2 > 0, but w_2 underflows to zero
-            [-720.0],  # h_1 = w_1 is subnormal
-            [-700.0, 50.0],  # odd entries sit e^-750 below the even ones in one window
-        ],
+        "logw", [*RAISING_HEADS, *(np.concatenate((h, np.full(5000 - len(h), -np.inf))) for h in RAISING_HEADS)]
     )
     def test_raises_rather_than_damage_the_table(self, logw):
         with pytest.raises(NumericalError):
@@ -226,180 +248,6 @@ class TestBlockedKernel:
         got = compound_poisson_pmf(means, 400).log_pmf_values
         raw = exact._log_linear_dp(np.log(np.arange(1, 51) * means), 400) - np.sum(means)
         assert np.array_equal(got, raw)
-
-
-@pytest.fixture
-def fft_verdicts(monkeypatch):
-    """Whether each panel's FFT middle product was certified (True) or not (False)."""
-    verdicts = []
-    certified = exact._MiddleProduct.older_terms
-
-    def recording(self, buf, K0, blocks):
-        R = certified(self, buf, K0, blocks)
-        verdicts.append(R is not None)
-        return R
-
-    monkeypatch.setattr(exact._MiddleProduct, "older_terms", recording)
-    return verdicts
-
-
-class TestPanelKernel:
-    """Caps from _PANEL_MIN_ALPHA on take a panel's older terms from one certified FFT.
-
-    A panel whose FFT product is not certified runs its blocks as narrow caps
-    do, one matrix-vector product per block.
-    """
-
-    def test_narrow_caps_run_one_block_per_panel(self):
-        assert all(exact._panel_blocks(alpha) == 1 for alpha in range(1, 1073))
-        assert exact._panel_blocks(17782) > 1
-
-    @pytest.mark.parametrize("P", [2, 3, 5, 7])
-    def test_any_panel_size_matches_the_reference(self, monkeypatch, P):
-        # Small caps forced into panels: panels start while K < alpha, the last
-        # one is partial, and once c*B >= alpha the window of a panel's block c
-        # lies wholly inside the panel.
-        monkeypatch.setattr(exact, "_panel_blocks", lambda alpha: P)
-        for alpha in (1, 2, 5, 17, 64, 100):
-            logw = np.log(np.linspace(0.3, 2.5, alpha)) + 0.1 * np.sin(np.arange(alpha))
-            for N in range(0, 200, 7):
-                assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-13)
-
-    def test_several_panels_with_a_partial_last_one(self):
-        alpha = exact._PANEL_MIN_ALPHA
-        span = exact._panel_blocks(alpha) * exact._BLOCK
-        N = 3 * span + 5 * exact._BLOCK + 3  # every panel starts while K < alpha
-        assert 2 * span < alpha
-        logw = np.log(np.linspace(0.5, 1.5, alpha)) + 0.1 * np.sin(np.arange(alpha))
-        assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
-
-    @pytest.mark.parametrize("slope", [0.02, -0.02])
-    def test_rescale_inside_a_panel(self, slope, fft_verdicts):
-        # h_k grows (or decays) like e^(slope*k): each way the window is rescaled
-        # several times inside panels, and the panels' later rows with it.
-        alpha, N = exact._PANEL_MIN_ALPHA, 30000
-        logw = slope * np.arange(1, alpha + 1)
-        assert_same_logs(exact._blocked_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
-        # Each window spans e^(0.02*alpha) = e^82, so no FFT product is certified.
-        assert False in fft_verdicts
-
-    @pytest.mark.parametrize("slope", [0.02, -0.02])
-    def test_uncertified_panels_take_the_narrow_kernels_product(self, monkeypatch, slope, fft_verdicts):
-        alpha, N = exact._PANEL_MIN_ALPHA, 30000
-        logw = slope * np.arange(1, alpha + 1)
-        panelled = exact._blocked_dp(logw, N)
-        # No window is certified here, so every block takes a narrow cap's product.
-        assert fft_verdicts and not any(fft_verdicts)
-        monkeypatch.setattr(exact, "_panel_blocks", lambda alpha: 1)
-        assert np.array_equal(panelled, exact._blocked_dp(logw, N))
-
-    def test_panel_rows_below_normal_after_a_rescale(self, fft_verdicts):
-        # Weights past 1000 are subnormal, so the later rows of a panel, which
-        # only those weights reach, fall below normal when a rescale scales them
-        # down; the entries they feed stay exact to an ulp.
-        alpha, N = exact._PANEL_MIN_ALPHA, 60000
-        logw = np.full(alpha, -720.0)
-        logw[:1000] = 0.01 * np.arange(1, 1001)
-        assert_same_logs(exact._log_linear_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
-        assert False in fft_verdicts
-
-    def test_zero_prefix_wide_row_keeps_exact_zeros(self, fft_verdicts):
-        first, alpha, N = 20, 5000, 6000
-        logw = np.zeros(alpha)
-        logw[: first - 1] = -np.inf
-        got = exact._blocked_dp(logw, N)  # the scan takes this row through _log_linear_dp
-        assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
-        assert np.array_equal(np.isfinite(got), (np.arange(N + 1) == 0) | (np.arange(N + 1) >= first))
-        assert False in fft_verdicts  # the first panel's outputs h_1..h_19 are true zeros
-
-    @pytest.mark.parametrize(
-        "head",
-        [[200.0] * 5, [-np.inf, -800.0], [-720.0], [-700.0, 50.0]],
-    )
-    def test_wide_rows_still_raise(self, head, fft_verdicts):
-        logw = np.full(5000, -np.inf)
-        logw[: len(head)] = head
-        with pytest.raises(NumericalError):
-            exact._log_linear_dp(logw, 3000)
-        assert False in fft_verdicts
-
-    def test_fft_serves_every_panel_on_the_benchmark_row(self, fft_verdicts):
-        # The first panel's older terms are w_1..w_PB times h_0; its bound is
-        # summed per segment, so only the first segment's norm enters it.
-        n, alpha = 10**5, 17782
-        exact._blocked_dp(saddle_row(n, alpha), n)
-        span = exact._panel_blocks(alpha) * exact._BLOCK
-        assert fft_verdicts == [True] * -(-n // span)
-
-    def test_ring_rescaled_inside_certified_panels(self, monkeypatch, fft_verdicts):
-        # A narrow rescale range makes the window, the panel's later rows and
-        # the ring of chunk spectra rescale inside panels whose products are
-        # certified, so later panels read ring entries taken at an older scale.
-        monkeypatch.setattr(exact, "_RESCALE_HI", 2.0**4)
-        monkeypatch.setattr(exact, "_RESCALE_LO", 2.0**-4)
-        rescales = []
-        rescale = exact._MiddleProduct.rescale
-
-        def recording(self, e):
-            rescales.append(e)
-            rescale(self, e)
-
-        monkeypatch.setattr(exact._MiddleProduct, "rescale", recording)
-        alpha, N = exact._PANEL_MIN_ALPHA, 40000
-        for slope in (3e-4, -3e-4):
-            fft_verdicts.clear()
-            rescales.clear()
-            logw = slope * np.arange(1, alpha + 1)
-            got = exact._blocked_dp(logw, N)
-            assert_same_logs(got, log_linear_dp_reference(logw, N), 1e-12)
-            assert np.all(np.isfinite(got))
-            # At alpha = 4096 the first panel's bound, |v_0| times h_0, exceeds
-            # alpha*eps*min(w_1..w_S); every later panel is certified.
-            assert len(rescales) >= 2 and all(fft_verdicts[1:])
-
-    @pytest.mark.parametrize("theta", [0.3, 1.0, 3.0])
-    def test_fft_error_stays_inside_its_certificate(self, monkeypatch, theta):
-        # Sampled outputs of every certified product against a long-double sum
-        # of the same terms: the measured error uses at most a tenth of the bound.
-        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
-            pytest.skip("np.longdouble has no extended precision on this platform")
-        n, alpha = 10**4, 5000
-        logw = saddle_row(n, alpha, theta)
-        w = np.exp(logw).astype(np.longdouble)
-        certified = exact._MiddleProduct.older_terms
-        ratios = []
-
-        def measuring(self, buf, K0, blocks):
-            R = certified(self, buf, K0, blocks)
-            if R is not None:
-                u = buf[K0 : K0 + alpha]
-                unit = self.error_bound() / exact._FFT_C
-                y = R.ravel()
-                for t in [*range(0, len(y), 37), int(np.argmin(y))]:
-                    # y_t = sum_{s >= t} w_{alpha+t-s} u_s
-                    exact_t = np.dot(w[alpha - 1 : t - 1 if t else None : -1], u[t:].astype(np.longdouble))
-                    ratios.append(float(abs(y[t] - exact_t)) / unit)
-            return R
-
-        monkeypatch.setattr(exact._MiddleProduct, "older_terms", measuring)
-        exact._blocked_dp(logw, n)
-        assert ratios and max(ratios) <= exact._FFT_C / 10
-
-    def test_a_public_law_runs_certified_panels(self, fft_verdicts):
-        # The law of C_m for m < alpha reads the row without weight m, whose
-        # interior zero keeps it off the geometric scan and on the panels.
-        model = ConstraintModel(n=65536, alpha=8192, theta=1.0)
-        exact._count_law.cache_clear()  # a law cached by an earlier test builds nothing
-        p = np.exp(cycle_count_distribution(model, 50))
-        assert any(fft_verdicts)
-        assert abs(p.sum() - 1.0) < 1e-10
-        assert abs(np.arange(len(p)) @ p - expected_cycle_count(model, 50)) < 1e-10
-
-    def test_bit_identical_reruns_at_a_wide_cap(self):
-        logw = saddle_row(10**5, 17782)
-        assert exact._panel_blocks(17782) > 1
-        first = exact._blocked_dp(logw, 10**5)
-        assert np.array_equal(first, exact._blocked_dp(logw, 10**5))
 
 
 class TestGeometricScan:
@@ -547,50 +395,6 @@ class TestGeometricScan:
         tm.log_ratio(exact._rest_row(model, 19), n - 1000)
         compound_poisson_pmf(np.random.default_rng(1).uniform(0.0, 3.0, 500), 3000)
         assert kernel_rows == [exact._SCAN_MIN_C - 1, alpha, alpha, 500]
-
-
-def test_default_panel_transforms_at_3072_points():
-    S = exact._PANEL * exact._BLOCK
-    mp = exact._MiddleProduct(np.ones(17782), S)
-    assert mp.L == 2 * S == 3072 == 2**10 * 3
-    assert mp.m == -(-17782 // S) == 12
-
-
-@settings(max_examples=40)
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=300), st.integers(0, 3))
-def test_segment_layout_gives_every_older_term(P, extra, e):
-    # m = ceil(alpha/S) segments of 2S weights and a ring of m chunk spectra
-    # give, for every panel, y_t = sum_{j > t} w_j G_(K0+t-j), the terms of
-    # the coefficients before the panel; with c = 0 the certificate admits
-    # every positive output. Halfway, buffer and ring are rescaled by 2^-e.
-    B = exact._BLOCK
-    S = P * B
-    alpha = S + extra
-    rng = np.random.default_rng(1000 * P + extra)
-    w = rng.uniform(0.5, 2.0, alpha)
-    mp = exact._MiddleProduct(w, S)
-    assert mp.m == -(-alpha // S) and mp.L == 2 * S
-    padded = np.zeros((mp.m + 1) * S)
-    padded[1 : alpha + 1] = w
-    for d in range(mp.m):
-        v = np.fft.irfft(mp.v_hat[d], mp.L)
-        assert np.allclose(v, padded[d * S : d * S + 2 * S], rtol=0, atol=1e-14)
-    N = 6 * S
-    buf = np.zeros(alpha + N + 1)
-    buf[alpha:] = rng.uniform(0.5, 2.0, N + 1)
-    with pytest.MonkeyPatch.context() as mpatch:
-        mpatch.setattr(exact, "_FFT_C", 0.0)
-        for K0 in range(1, N - S + 2, S):
-            if K0 == 1 + 3 * S:
-                np.ldexp(buf, -e, out=buf)
-                mp.rescale(e)
-            R = mp.older_terms(buf, K0, P)
-            assert R is not None
-            # buf[alpha + k] holds G_k
-            direct = [
-                sum(w[j - 1] * buf[alpha + K0 + t - j] for j in range(t + 1, alpha + 1)) for t in range(S)
-            ]
-            assert np.allclose(R.ravel(), direct, rtol=1e-13, atol=0)
 
 
 class TestExtremeWeights:
@@ -885,13 +689,15 @@ class TestCycleCountDistribution:
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_normalized_and_mean_consistent(self):
-        model = ConstraintModel(n=200, alpha=20, theta=1.3)
-        for m in (1, 7, 20):
-            logpmf = cycle_count_distribution(model, m)
-            p = np.exp(logpmf)
-            assert p.sum() == pytest.approx(1.0, abs=1e-10)
-            mean = float((np.arange(len(p)) * p).sum())
-            assert mean == pytest.approx(expected_cycle_count(model, m), rel=1e-9)
+        # (65536, 8192) reads the wide row without weight 50 from the blocked kernel
+        for model, ms in ((ConstraintModel(n=200, alpha=20, theta=1.3), (1, 7, 20)),
+                          (ConstraintModel(n=65536, alpha=8192, theta=1.0), (50,))):
+            for m in ms:
+                logpmf = cycle_count_distribution(model, m)
+                p = np.exp(logpmf)
+                assert p.sum() == pytest.approx(1.0, abs=1e-10)
+                mean = float((np.arange(len(p)) * p).sum())
+                assert mean == pytest.approx(expected_cycle_count(model, m), rel=1e-9)
 
     def test_m_beyond_alpha_rejected(self):
         with pytest.raises(ConstraintError):

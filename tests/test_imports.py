@@ -5,9 +5,11 @@ A name bound by an import must be referenced somewhere in its file, be listed
 in the file's `__all__`, or sit on a line marked `# noqa: F401` (a name kept
 for callers outside the file).
 
-A name in `cyclecap.__all__` must be referenced by a module of the package
-or of `perfbench/`, outside its own definition; `__init__.py` and the tests
-do not count. The allowlist names each exception and why it stays.
+A name in `cyclecap.__all__`, and every module-level def, class and
+assigned name of a module of the package (dunder names aside), must be
+referenced by a module of the package or of `perfbench/`, outside its own
+definition; `__init__.py` and the tests do not count. The allowlists name
+each exception and why it stays.
 """
 
 import ast
@@ -64,8 +66,17 @@ CALLER_FILES = sorted(
 )
 
 
+def defined_names(stmt):
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {node.id for t in stmt.targets for node in ast.walk(t) if isinstance(node, ast.Name)}
+    return set()
+
+
 def referenced_names(source: str):
-    """Names and attributes the source reads, outside the body that defines each name."""
+    """Names and attributes the source reads, outside the statement that defines each name."""
     names = set()
     for stmt in ast.parse(source).body:
         here = set()
@@ -74,9 +85,7 @@ def referenced_names(source: str):
                 here.add(node.id)
             elif isinstance(node, ast.Attribute):
                 here.add(node.attr)
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            here.discard(stmt.name)
-        names |= here
+        names |= here - defined_names(stmt)
     return names
 
 
@@ -104,3 +113,29 @@ def test_the_check_sees_an_uncalled_export():
     assert uncalled_exports(init, callers) == ["f"]
     assert uncalled_exports(init, [*callers, "def k():\n    return f()\n"]) == []
     assert uncalled_exports(init, ["from .a import f, g, h  # noqa: F401\n"]) == ["f", "g", "h"]
+
+
+# Module-level names kept though nothing in the package reads them.
+NAME_ALLOWLIST = {
+    **EXPORT_ALLOWLIST,
+    "power_probe": "ROADMAP direction 5's prefactor",
+}
+
+
+def unread_module_names(module_sources, caller_sources):
+    """Module-level names of the module sources, dunders aside, that no caller source references."""
+    used = set().union(*(referenced_names(s) for s in caller_sources))
+    defined = {name for s in module_sources for stmt in ast.parse(s).body for name in defined_names(stmt)}
+    return sorted(name for name in defined - used if not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_module_level_name_is_read():
+    modules = [p.read_text() for p in CALLER_FILES if p.parent.name == "cyclecap"]
+    unread = unread_module_names(modules, [p.read_text() for p in CALLER_FILES])
+    assert unread == sorted(NAME_ALLOWLIST)
+
+
+def test_the_check_sees_a_leftover_module_name():
+    module = "_FFT_C = 8.0\n_EPS = 1e-16\n__all__ = []\n\ndef _norm(v):\n    return _norm(v) * _EPS\n"
+    assert unread_module_names([module], [module]) == ["_FFT_C", "_norm"]
+    assert unread_module_names([module], [module, "import m\nm._norm(m._FFT_C)\n"]) == []
