@@ -56,9 +56,9 @@ sum cancels.
 
 Rows the scan does not take cost O(N*alpha) multiply-adds in N/16 steps, one
 matrix-vector product per block: at (n, alpha) = (10^5, 17782) a table up to
-N = n takes 0.43-0.55 s for the row without weight 100 and 0.63-0.87 s for
+N = n takes 0.47-0.62 s for the row without weight 100 and 0.60-0.87 s for
 the row without weights 1..8892, and the law of C_50 at (65536, 8192)
-0.09-0.15 s (best of 3 per run, four runs, shared 2-core x86-64, numpy 2.4).
+0.09-0.15 s (best of 3 per run, five runs, shared 2-core x86-64, numpy 2.4).
 
 Once per block, if the block leaves [2^-256, 2^256], the active window (the
 last alpha entries) is rescaled by a power of two, which is exact, and the

@@ -126,23 +126,17 @@ def saddle_row(n, alpha, theta=1.0):
 EXACT_MODELS = [(10**4, 10), (10**5, 100), (10**5, 1072), (10**6, 1000), (10**4, 2511), (10**5, 17782)]
 
 
-def subnormal_tail(alpha):
-    """log of a row whose weights past 1000 are subnormal: rescales push its later entries below normal."""
-    logw = np.full(alpha, -720.0)
-    logw[:1000] = 0.01 * np.arange(1, 1001)
-    return logw
-
-
-# (logw, N) of rows the scan does not take: the benchmark rows, and wide rows
+# (logw, N) of rows the scan does not take: the benchmark rows; wide rows
 # whose windows span e^(0.02*alpha) = e^82, so the kernel rescales them
-# several times, growing or decaying.
+# several times, growing or decaying; and a row whose weights past 1000 are
+# subnormal, so that a rescale pushes the terms only they reach below normal.
 KERNEL_ROWS = {
     "100000-100": lambda: (saddle_row(10**5, 100), 10**5),
     "100000-1072": lambda: (saddle_row(10**5, 1072), 10**5),
     "100000-17782": lambda: (saddle_row(10**5, 17782), 10**5),
     "slope0.02": lambda: (0.02 * np.arange(1, 4097), 30000),
     "slope-0.02": lambda: (-0.02 * np.arange(1, 4097), 30000),
-    "subnormal-tail": lambda: (subnormal_tail(4096), 60000),
+    "subnormal-tail": lambda: (np.concatenate((0.01 * np.arange(1, 1001), np.full(3096, -720.0))), 60000),
 }
 
 RAISING_HEADS = [
