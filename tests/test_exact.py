@@ -180,10 +180,9 @@ class TestBlockedKernel:
         assert_same_logs(exact._blocked_dp(logw, N), log_linear_dp_reference(logw, N), 1e-12)
 
     def test_bit_identical_reruns(self):
-        for n, alpha in ((20000, 300), (10**5, 17782)):
-            logw = saddle_row(n, alpha)
-            first = exact._blocked_dp(logw, n)
-            assert np.array_equal(first, exact._blocked_dp(logw, n))
+        logw = saddle_row(20000, 300)
+        first = exact._blocked_dp(logw, 20000)
+        assert np.array_equal(first, exact._blocked_dp(logw, 20000))
 
     @pytest.mark.parametrize("n,alpha", EXACT_MODELS)
     def test_recurrence_contract_on_benchmark_models(self, n, alpha):
@@ -242,6 +241,24 @@ class TestBlockedKernel:
         got = compound_poisson_pmf(means, 400).log_pmf_values
         raw = exact._log_linear_dp(np.log(np.arange(1, 51) * means), 400) - np.sum(means)
         assert np.array_equal(got, raw)
+
+
+class TestPanelKernel:
+    """Non-geometric rows at wide caps run the blocked kernel one product per block."""
+
+    def test_a_public_law_runs_certified_panels(self):
+        # The law of C_m for m < alpha reads the row without weight m, whose
+        # interior zero keeps it off the geometric scan and on the blocked kernel.
+        model = ConstraintModel(n=65536, alpha=8192, theta=1.0)
+        exact._count_law.cache_clear()  # a law cached by an earlier test builds nothing
+        p = np.exp(cycle_count_distribution(model, 50))
+        assert abs(p.sum() - 1.0) < 1e-10
+        assert abs(np.arange(len(p)) @ p - expected_cycle_count(model, 50)) < 1e-10
+
+    def test_bit_identical_reruns_at_a_wide_cap(self):
+        logw = saddle_row(10**5, 17782)
+        first = exact._blocked_dp(logw, 10**5)
+        assert np.array_equal(first, exact._blocked_dp(logw, 10**5))
 
 
 class TestGeometricScan:
@@ -683,15 +700,13 @@ class TestCycleCountDistribution:
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_normalized_and_mean_consistent(self):
-        # (65536, 8192) reads the wide row without weight 50 from the blocked kernel
-        for model, ms in ((ConstraintModel(n=200, alpha=20, theta=1.3), (1, 7, 20)),
-                          (ConstraintModel(n=65536, alpha=8192, theta=1.0), (50,))):
-            for m in ms:
-                logpmf = cycle_count_distribution(model, m)
-                p = np.exp(logpmf)
-                assert p.sum() == pytest.approx(1.0, abs=1e-10)
-                mean = float((np.arange(len(p)) * p).sum())
-                assert mean == pytest.approx(expected_cycle_count(model, m), rel=1e-9)
+        model = ConstraintModel(n=200, alpha=20, theta=1.3)
+        for m in (1, 7, 20):
+            logpmf = cycle_count_distribution(model, m)
+            p = np.exp(logpmf)
+            assert p.sum() == pytest.approx(1.0, abs=1e-10)
+            mean = float((np.arange(len(p)) * p).sum())
+            assert mean == pytest.approx(expected_cycle_count(model, m), rel=1e-9)
 
     def test_m_beyond_alpha_rejected(self):
         with pytest.raises(ConstraintError):
