@@ -597,7 +597,13 @@ def _build_tilted(n: int, alpha: int, theta: float) -> TiltedModel:
     x = sol.x
     table = egf_coefficients(sol.q, n, tilt=x)
     j = np.arange(1, alpha + 1, dtype=float)
-    mu = theta * np.exp(j * math.log(x)) / j
+    log_power = j * math.log(x)
+    with np.errstate(over="ignore"):
+        mu = theta * np.exp(log_power) / j
+    # theta x^j / j is finite where x^j alone overflows (theta tiny, x huge).
+    big = np.isinf(mu)
+    if big.any():
+        mu[big] = np.exp(math.log(theta) + log_power[big] - np.log(j[big]))
     for shared in (mu, table.log_tilted_values):
         shared.setflags(write=False)
     return TiltedModel(model=model, x=x, mu=mu, table=table)

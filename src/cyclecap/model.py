@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, StructuralError
+from .errors import _BYTE_GUARD, ConfigError, SizeGuardError, StructuralError
 from .numerics import LogReal
 
 # Guard against floor(n^beta) landing one below an exact integer power due to
@@ -83,6 +83,9 @@ class WeightArray:
 
     @classmethod
     def constant(cls, theta: float, alpha: int) -> "WeightArray":
+        """The row q_j = theta, j = 1..alpha; SizeGuardError past _BYTE_GUARD, before allocating."""
+        if 8 * alpha > _BYTE_GUARD:
+            raise SizeGuardError(f"a row of {alpha} weights exceeds the size guard")
         return cls(np.full(alpha, float(theta)))
 
     @classmethod

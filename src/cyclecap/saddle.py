@@ -183,10 +183,14 @@ def solve_model_saddle(model: ConstraintModel, c: float = 1.0) -> SaddleSolution
 
 
 def mu(sol: SaddleSolution, theta: float, m: int) -> float:
-    """mu_m = theta x^m / m."""
+    """mu_m = theta x^m / m; in logs where x^m alone overflows (theta tiny, x huge)."""
     if not (1 <= m <= sol.q.alpha):
         raise ConstraintError(f"m must satisfy 1 <= m <= alpha={sol.q.alpha}, got {m}")
-    return theta * math.exp(m * math.log(sol.x)) / m
+    log_power = m * math.log(sol.x)
+    try:
+        return theta * math.exp(log_power) / m
+    except OverflowError:
+        return math.exp(math.log(theta) + log_power - math.log(m))
 
 
 def mu_alpha_of(model: ConstraintModel) -> float:
@@ -357,7 +361,11 @@ def clt_h_calculus(model: ConstraintModel, m: int, s: float) -> HCalculus:
     x = sol.x
     lambda2 = sol.lambda_value(2)
     lambda3 = sol.lambda_value(3)
-    e_term = float(q_pert.q[m - 1]) * x**m
+    q_m = float(q_pert.q[m - 1])
+    try:
+        e_term = q_m * x**m
+    except OverflowError:  # q_m x^m is finite where x^m alone overflows
+        e_term = math.exp(math.log(q_m) + m * math.log(x))
     h = math.exp(sol.log_lambdas[0]) - model.n * math.log(x)
     h1 = e_term / (m * sqrt_mu)
     h2 = h1 / sqrt_mu - (m**2) * h1**2 / lambda2

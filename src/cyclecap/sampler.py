@@ -25,9 +25,22 @@ drawn j is the smallest with
 for the stream's uniform u: one binary search in a table built once per
 model, O(log n) per cycle. Both tables are kept as logs (np.logaddexp
 .accumulate of the untilted log h_k), so they hold coefficients of any
-magnitude, and each target is a logaddexp of two positive terms, with no
-subtraction. Each row reads the side whose complement (S_(lo-1) or R_r) is
+magnitude. Each row reads the side whose complement (S_(lo-1) or R_r) is
 the smaller, so the masses keep their precision whether h rises or falls.
+With L the larger of the row's two end sums (S_(r-1) or R_lo), c_r =
+1 - smaller/larger in [0, 1] kept per row, and w the weight of the smaller
+sum (u on the prefix side, 1 - u on the suffix side), each target is
+
+    log L + log1p(-w c_r),
+
+one transcendental call per cycle; the relative error of the row mass it
+stands for is about eps/(1 - w c_r), largest as w -> 1. Rows with
+S_(lo-1) = 0 (r <= alpha) have c_r = 1 and read log(1-u) + log S_(r-1)
+exactly. The prefix rows are r <= alpha + i*, where i* is the last i with
+S_(i-1) <= R_(alpha+i) (S rises and R falls), and each reads S only up to
+S_(r-1), so the prefix table stops at index alpha + i*; the suffix table
+covers 0..n. The suffix side runs its keys through one search in ascending
+order, which gives the same indices as searching them one by one.
 The draw is vectorised across samples: wave t draws cycle t of every sample
 not yet complete.
 
@@ -52,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -120,15 +133,70 @@ def _uniforms_np(bases: np.ndarray, t: int) -> np.ndarray:
     return (_mix64_np(bases + step) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
 
+def _log_h(table: CoefficientTable, lo: int, hi: int) -> np.ndarray:
+    """Untilted log h_k for k = lo..hi-1."""
+    out = np.arange(lo, hi, dtype=float)
+    out *= -math.log(table.tilt)
+    out += table.log_tilted_values[lo:hi]
+    return out
+
+
+def _raise_if_not_finite(name: str, arr: np.ndarray, first: int, model: ConstraintModel) -> None:
+    bad = np.flatnonzero(~np.isfinite(arr[first:]))
+    if len(bad):
+        i = int(bad[0]) + first
+        raise NumericalError(
+            f"sampler {name} table is not finite at index {i} ({arr[i]}) "
+            f"for n={model.n}, alpha={model.alpha}"
+        )
+
+
+def _prefix_sums(table: CoefficientTable, R: np.ndarray, n: int, alpha: int) -> Tuple[np.ndarray, int]:
+    """(P, split): P[k] = log S_(k-1) for k = 0..split, and the last prefix-side row.
+
+    Row alpha+i reads the prefix side when P[i] <= R[alpha+i]. P rises and R
+    falls, so those rows are exactly r <= split, and only they read P, each at
+    most up to P[r]. P is accumulated in chunks, each seeded by the last value
+    of the one before, which is bit-identical to one accumulate, and only as
+    far as split.
+    """
+    m = max(n - alpha, 0)
+    chunks = [np.array([-np.inf])]
+    known, split = 0, (n if m == 0 else None)  # P is known through index `known`
+    while split is None or known < split:
+        # Every row r <= alpha reads P; past alpha, chunks grow by a quarter.
+        stop = min(n if split is None else split, max(alpha, known + max(known // 4, 1024)))
+        buf = np.empty(stop - known + 1)
+        buf[0] = chunks[-1][-1]
+        buf[1:] = _log_h(table, known, stop)
+        with np.errstate(invalid="ignore"):  # a non-finite entry is reported by the caller
+            np.logaddexp.accumulate(buf, out=buf)
+        chunks.append(buf[1:])
+        if split is None:
+            last = min(stop, m)  # rows alpha+known+1 .. alpha+last are decided here
+            over = np.flatnonzero(buf[1 : last - known + 1] > R[alpha + known + 1 : alpha + last + 1])
+            if len(over):
+                split = alpha + known + int(over[0])
+            elif last == m:
+                split = n
+        known = stop
+    if known > split:
+        chunks[-1] = chunks[-1][: len(chunks[-1]) - (known - split)]
+    return np.concatenate(chunks), split
+
+
 @dataclass
 class SamplerState:
     """Inversion tables plus the (seed, counter) position of the next draw.
 
     With S and R the prefix and suffix sums of h_0..h_n (module docstring),
-    _P[k] = log S_(k-1) (so _P[0] = -inf) and _negR[k] = -log R_k, both
-    ascending in k. For each remaining size r, _prefix[r] says which side row
-    r searches, and _hi[r], _lo[r] are the logs of that side's sums at the
-    row's two ends: (log S_(r-1), log S_(lo-1)) or (log R_r, log R_lo).
+    _P[k] = log S_(k-1) for k = 0.._split (so _P[0] = -inf) and
+    _negR[k] = -log R_k for k = 0..n, both ascending in k. Rows r <= _split
+    search the prefix side, the others the suffix side. Of the two sums at
+    row r's ends, the larger is S_(r-1) on the prefix side and R_lo on the
+    suffix side: _top[r] is its log, and with c_r = 1 - smaller/larger in
+    [0, 1] (an expm1 of the difference of the logs), _c[r] is -c_r on the
+    prefix side and c_r on the suffix side.
     """
 
     model: ConstraintModel
@@ -137,49 +205,55 @@ class SamplerState:
     counter: int = 0
     _P: np.ndarray = field(init=False, repr=False)
     _negR: np.ndarray = field(init=False, repr=False)
-    _prefix: np.ndarray = field(init=False, repr=False)
-    _hi: np.ndarray = field(init=False, repr=False)
-    _lo: np.ndarray = field(init=False, repr=False)
+    _split: int = field(init=False, repr=False)
+    _top: np.ndarray = field(init=False, repr=False)
+    _c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
             raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         n, alpha = self.model.n, self.model.alpha
-        logt = self.table.log_tilted_values
-        if len(logt) < n + 1:
+        if len(self.table.log_tilted_values) < n + 1:
             raise DomainError("coefficient table must cover indices 0..n")
-        # Untilted log h_k; the buffer then becomes the suffix table.
-        R = np.arange(n + 1, dtype=float)
-        R *= -math.log(self.table.tilt)
-        R += logt[: n + 1]
-        P = np.empty(n + 1)
-        P[0] = -np.inf
+        R = _log_h(self.table, 0, n + 1)
         with np.errstate(invalid="ignore"):  # a non-finite entry is reported below
-            np.logaddexp.accumulate(R[:n], out=P[1:])
             np.logaddexp.accumulate(R[::-1], out=R[::-1])
-        for name, arr, first in (("prefix", P, 1), ("suffix", R, 0)):
-            bad = np.flatnonzero(~np.isfinite(arr[first:]))
-            if len(bad):
-                i = int(bad[0]) + first
-                raise NumericalError(
-                    f"sampler {name} table is not finite at index {i} ({arr[i]}) "
-                    f"for n={n}, alpha={alpha}"
-                )
-        # Rows r <= alpha start at lo = 0, where S_(lo-1) = 0: prefix side.
-        # Rows r = alpha+1..n start at lo = r - alpha = 1..m.
-        m = max(n - alpha, 0)
-        self._prefix = np.ones(n + 1, dtype=bool)
-        self._prefix[alpha + 1 :] = P[1 : m + 1] <= R[alpha + 1 :]
-        self._hi = np.where(self._prefix, P, R)
-        self._lo = np.full(n + 1, -np.inf)
-        self._lo[alpha + 1 :] = np.where(self._prefix[alpha + 1 :], P[1 : m + 1], R[1 : m + 1])
+        _raise_if_not_finite("suffix", R, 0, self.model)
+        P, split = _prefix_sums(self.table, R, n, alpha)
+        _raise_if_not_finite("prefix", P, 1, self.model)
+        # Rows r <= alpha start at lo = 0, where S_(lo-1) = 0: c = 1. Rows
+        # r = alpha+i start at lo = i, on the prefix side through r = split.
+        self._top = np.empty(n + 1)
+        self._top[: split + 1] = P
+        self._c = np.full(n + 1, -1.0)
+        if n > alpha:
+            d = split - alpha
+            self._top[split + 1 :] = R[d + 1 : n - alpha + 1]
+            c = self._c[alpha + 1 :]
+            np.subtract(P[1 : d + 1], P[alpha + 1 :], out=c[:d])
+            np.subtract(R[split + 1 :], self._top[split + 1 :], out=c[d:])
+            np.expm1(c, out=c)
+            np.negative(c[d:], out=c[d:])
         self._P = P
+        self._split = split
         self._negR = np.negative(R, out=R)
 
     @classmethod
     def for_model(cls, model: ConstraintModel, seed: int) -> "SamplerState":
         return cls(model=model, table=TiltedModel.for_model(model).table, seed=seed)
+
+
+def _ascending_search(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """table.searchsorted(keys), run in ascending key order.
+
+    Each search then starts where the last one ended, which on a long table
+    is cheaper than random probes; the results do not depend on the order.
+    """
+    order = keys.argsort()
+    k = np.empty(len(keys), dtype=np.int64)
+    k[order] = table.searchsorted(keys[order])
+    return k
 
 
 def _waves(state: SamplerState, bases: np.ndarray) -> Iterator[tuple]:
@@ -189,19 +263,27 @@ def _waves(state: SamplerState, bases: np.ndarray) -> Iterator[tuple]:
     those samples in bases, j holds their lengths. Sample i reads u_t of
     stream bases[i] only, so its draw does not depend on the other samples.
     """
-    alpha = state.model.alpha
+    alpha, split = state.model.alpha, state._split
     active = np.arange(len(bases))
     rem = np.full(len(bases), state.model.n, dtype=np.int64)
     t = 0
     while len(active):
         u = _uniforms_np(bases, t)
-        with np.errstate(divide="ignore"):  # u = 0 gives log(u) = -inf
-            target = np.logaddexp(np.log1p(-u) + state._hi[rem], np.log(u) + state._lo[rem])
-        pre = state._prefix[rem]
-        k = np.empty_like(rem)
-        k[pre] = state._P.searchsorted(target[pre])
-        suf = ~pre
-        k[suf] = state._negR.searchsorted(-target[suf])
+        suf = rem > split
+        # log((1-u) S_(r-1) + u S_(lo-1)) or log((1-u) R_r + u R_lo) is
+        # log(larger) + log1p(-w c_r), where the smaller sum carries weight
+        # w = u on the prefix side and 1 - u on the suffix side: with _c's
+        # signs, -w c_r = (u - suf) _c[r].
+        target = state._top[rem] + np.log1p((u - suf) * state._c[rem])
+        if suf.all():
+            k = _ascending_search(state._negR, np.negative(target))
+        elif not suf.any():
+            k = state._P.searchsorted(target)
+        else:
+            k = np.empty_like(rem)
+            pre = ~suf
+            k[pre] = state._P.searchsorted(target[pre])
+            k[suf] = _ascending_search(state._negR, np.negative(target[suf]))
         # Prefix side: k - 1 is the largest index with log S_(k-2) below the
         # target, i.e. j = r + 1 - k; the suffix side gives the same formula.
         # The bounds only catch rounding at the row's two ends.

@@ -230,3 +230,73 @@ def cycle_count_law(n: int, alpha: int, theta: int, m: int) -> List[float]:
         den = m**k * math.factorial(k) * math.factorial(r) * a_n
         law.append(num / den)
     return law
+
+
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _logaddexp(a: float, b: float) -> float:
+    hi, lo = max(a, b), min(a, b)
+    if lo == -math.inf:
+        return hi
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+@lru_cache(maxsize=8)
+def _log_sums(n: int, alpha: int, theta: float) -> Tuple[List[float], List[float]]:
+    """(P, R): P[k] = log sum_(i<k) h_i and R[k] = log sum_(i>=k) h_i, k = 0..n.
+
+    h is built at the tilt x = (n/theta)^(1/alpha), where theta x^alpha = n,
+    so that the reference's window stays in double range even for tiny theta.
+    """
+    log_x = (math.log(n) - math.log(theta)) / alpha
+    logw = math.log(theta) + log_x * np.arange(1, alpha + 1)
+    logh = (log_linear_dp_reference(logw, n) - log_x * np.arange(n + 1)).tolist()
+    P = [-math.inf]
+    for v in logh[:n]:
+        P.append(_logaddexp(P[-1], v))
+    R = [logh[n]]
+    for v in reversed(logh[:n]):
+        R.append(_logaddexp(R[-1], v))
+    return P, R[::-1]
+
+
+def draw_lengths_reference(model, seed: int, index: int) -> List[int]:
+    """The cycle lengths of draw `index` of `seed`, one cycle at a time in scalar math.
+
+    The documented RNG contract (splitmix64-counter-v2) and inversion: with r
+    elements left, u_t = (mix64(base + (t+1)*GAMMA) >> 11) * 2^-53 and the
+    row's masses h_(r-1), ..., h_lo, lo = r - min(alpha, r), the length is the
+    smallest j with S_(r-j-1) < target on the prefix side, or with
+    R_(r-j) > target on the suffix side, where target =
+    logaddexp(log(1-u) + log hi, log(u) + log lo_sum) and (hi, lo_sum) are the
+    side's sums at the row's two ends. A row reads the prefix side when
+    S_(lo-1) <= R_r. h comes from log_linear_dp_reference, not the package.
+    """
+    n, alpha, theta = model.n, model.alpha, model.theta
+    P, R = _log_sums(n, alpha, theta)
+    base = _mix64((seed + (index + 1) * _GAMMA) & _MASK64)
+    lengths: List[int] = []
+    r = n
+    while r:
+        t = len(lengths)
+        u = (_mix64((base + (t + 1) * _GAMMA) & _MASK64) >> 11) * 2.0**-53
+        log_u = math.log(u) if u > 0 else -math.inf
+        m = min(alpha, r)
+        lo = r - m
+        prefix = P[lo] <= R[r]
+        hi_sum, lo_sum = (P[r], P[lo]) if prefix else (R[r], R[lo])
+        target = _logaddexp(math.log1p(-u) + hi_sum, log_u + lo_sum)
+        j = 1
+        while j < m and not (P[r - j] < target if prefix else R[r - j] > target):
+            j += 1
+        lengths.append(j)
+        r -= j
+    return lengths

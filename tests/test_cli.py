@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -118,6 +120,46 @@ class TestExitCodes:
         monkeypatch.setattr(exact, "_log_linear_dp", no_table)
         assert run(["partition", "--n", str(10**12), "--alpha", "2"]) == 2
         assert "size guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition", "--alpha", str(10**12)],
+            ["saddle", "--alpha", str(10**12)],
+            ["tvd", "--alpha", str(10**12), "--b", "2"],
+            ["sample", "--alpha", str(10**12), "--count", "2", "--seed", "1"],
+            ["saddle", "--beta", "0.9"],
+        ],
+        ids=["partition", "saddle", "tvd", "sample", "saddle-beta"],
+    )
+    def test_row_past_the_byte_guard_is_config_error(self, capsys, argv):
+        # The model's row of alpha weights takes 8 alpha bytes: 7.28 TiB here,
+        # and 470 GiB for alpha = n^0.9.
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = run([argv[0], "--n", str(10**12), *argv[1:]])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "size guard" in capsys.readouterr().err
+        assert elapsed < 1.0 and peak < 10**7
+
+    # theta x^alpha / alpha is finite where x^alpha alone overflows.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["saddle", "--n", "1000", "--theta", "1e-306"],
+            ["limits", "--n", "1000", "--theta", "1e-306", "--check", "diverging", "--samples", "20", "--seed", "1"],
+            ["clt", "--n", "1000", "--theta", "1e-306", "--m-list", "1,3"],
+            ["saddle", "--n", "5", "--theta", "1e-320"],
+        ],
+        ids=["saddle", "limits", "clt", "saddle-1e-320"],
+    )
+    def test_tiny_theta_runs(self, capsys, argv):
+        assert run([*argv, "--alpha", "3"]) == 0
 
     @pytest.mark.parametrize("seed", [[], ["--seed", "1"]])
     def test_clt_negative_samples_refused_before_the_h_calculus(self, capsys, monkeypatch, seed):

@@ -824,16 +824,36 @@ class TestRatioDigits:
 
     With A_k = k! h_k from the integer recurrence, E[C_m] = A_(n-m) n!/(n-m)! /
     (m A_n) and P[longest <= m] = A_n^(<=m) / A_n at theta = 1, each a ratio
-    of integers that Python rounds correctly.
+    of integers that Python rounds correctly. For theta = p/q in lowest terms,
+    B_k = q^k A_k runs the integer recurrence with weights p q^(j-1), and
+    E[C_m] = p q^(m-1) B_(n-m) n!/(n-m)! / (m B_n).
     """
 
-    @pytest.mark.parametrize("n,alpha", [(2000, 12), (3000, 10)])
-    def test_expected_counts(self, n, alpha):
-        model = ConstraintModel(n=n, alpha=alpha, theta=1.0)
-        a = weighted_counts(n, (1,) * alpha)
+    @staticmethod
+    def counts(n, alpha, theta):
+        p, q = theta.as_integer_ratio()
+        return p, q, weighted_counts(n, tuple(p * q ** (j - 1) for j in range(1, alpha + 1)))
+
+    # At theta = 1e-306 and 1e-320 the tilt x is so large that x^alpha
+    # overflows while theta x^alpha / alpha is finite.
+    @pytest.mark.parametrize(
+        "n,alpha,theta",
+        [(2000, 12, 1.0), (3000, 10, 1.0), (1000, 3, 1e-306), (5, 3, 1e-320)],
+        ids=["2000-12", "3000-10", "1000-3-1e-306", "5-3-1e-320"],
+    )
+    def test_expected_counts(self, n, alpha, theta):
+        model = ConstraintModel(n=n, alpha=alpha, theta=theta)
+        p, q, a = self.counts(n, alpha, theta)
         for m in range(1, alpha + 1):
-            want = a[n - m] * math.perm(n, m) / (m * a[n])
+            want = p * q ** (m - 1) * a[n - m] * math.perm(n, m) / (m * a[n])
             assert expected_cycle_count(model, m) == pytest.approx(want, rel=1e-13, abs=0.0), f"m = {m}"
+
+    @pytest.mark.parametrize("n,alpha,theta", [(1000, 3, 1e-306), (5, 3, 1e-320)])
+    def test_longest_cycle_cdf_where_x_to_the_alpha_overflows(self, n, alpha, theta):
+        # 7.5e-321 at (5, 3, 1e-320); below double range, so 0.0, at (1000, 3, 1e-306).
+        model = ConstraintModel(n=n, alpha=alpha, theta=theta)
+        want = self.counts(n, alpha - 1, theta)[2][n] / self.counts(n, alpha, theta)[2][n]
+        assert longest_cycle_cdf(model, alpha - 1) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_longest_cycle_cdf(self):
         # P[longest <= m] for m = 5..7 lies below double range, so those read 0.

@@ -18,7 +18,7 @@ from cyclecap.sampler import (
     sample_type_array,
     stream_base,
 )
-from oracles import conditioned_distribution, cycle_lengths_of_permutation
+from oracles import conditioned_distribution, cycle_lengths_of_permutation, draw_lengths_reference
 
 
 def first_cycle_row(state, r):
@@ -110,6 +110,22 @@ class TestFirstCyclePmf:
         table = CoefficientTable(q=good.q, tilt=good.tilt, log_tilted_values=logt)
         with pytest.raises(NumericalError):
             SamplerState(model=model, table=table, seed=0)
+
+
+class TestInversionTables:
+    # (10^5, 17782) accumulates its prefix sums in several chunks; every row
+    # of (5, 5) is a prefix row.
+    @pytest.mark.parametrize("n,alpha,theta", [(100_000, 17782, 1.0), (2000, 12, 3.0), (12, 5, 0.3), (5, 5, 1.0)])
+    def test_prefix_sums_stop_at_the_last_prefix_row(self, n, alpha, theta):
+        state = SamplerState.for_model(ConstraintModel(n=n, alpha=alpha, theta=theta), seed=0)
+        logh = state.table.log_tilted_values[: n + 1] - np.arange(n + 1) * math.log(state.table.tilt)
+        P = np.concatenate([[-np.inf], np.logaddexp.accumulate(logh[:n])])
+        R = np.logaddexp.accumulate(logh[::-1])[::-1]
+        prefix = np.ones(n + 1, dtype=bool)
+        prefix[alpha + 1 :] = P[1 : max(n - alpha, 0) + 1] <= R[alpha + 1 :]
+        assert np.array_equal(np.flatnonzero(prefix), np.arange(state._split + 1))
+        assert np.array_equal(state._P, P[: state._split + 1])
+        assert np.array_equal(-state._negR, R)
 
 
 class TestSampleCycleType:
@@ -251,3 +267,21 @@ class TestBatchPaths:
         model = ConstraintModel(n=5, alpha=2, theta=1.0)
         (lengths,) = sample_lengths(model, 1, seed=2**64 - 1)
         assert lengths.sum() == 5
+
+
+class TestRngContract:
+    # Rows r <= 23 of (40, 7, 3) read the prefix side, 16 of them past alpha,
+    # and its 4100 draws cross the 4096-draw chunk; (2000, 12, 0.3) reads the
+    # prefix side only through r = alpha; the table of (10^4, 10) spans more
+    # than double range; some suffix rows of (1000, 3, 1e-306) have end sums
+    # more than e^709 apart.
+    @pytest.mark.parametrize(
+        "n,alpha,theta,count",
+        [(40, 7, 3.0, 4100), (2000, 12, 0.3, 200), (10_000, 10, 1.0, 20), (1000, 3, 1e-306, 50)],
+    )
+    def test_every_draw_follows_the_scalar_reference(self, n, alpha, theta, count):
+        model = ConstraintModel(n=n, alpha=alpha, theta=theta)
+        want = [draw_lengths_reference(model, 29, i) for i in range(count)]
+        assert [x.tolist() for x in sample_lengths(model, count, seed=29)] == want
+        counts = sample_type_array(model, count, seed=29)
+        assert np.array_equal(counts, [np.bincount(x, minlength=n + 1)[1:] for x in want])
