@@ -38,9 +38,10 @@ stands for is about eps/(1 - w c_r), largest as w -> 1. Rows with
 S_(lo-1) = 0 (r <= alpha) have c_r = 1 and read log(1-u) + log S_(r-1)
 exactly. The prefix rows are r <= alpha + i*, where i* is the last i with
 S_(i-1) <= R_(alpha+i) (S rises and R falls), and each reads S only up to
-S_(r-1), so the prefix table stops at index alpha + i*; the suffix table
-covers 0..n. The suffix side runs its keys through one search in ascending
-order, which gives the same indices as searching them one by one.
+S_(r-1), so the prefix table is kept only through index alpha + i*; the
+suffix table covers 0..n. The suffix side runs its keys through one search
+in ascending order, which gives the same indices as searching them one by
+one.
 The draw is vectorised across samples: wave t draws cycle t of every sample
 not yet complete.
 
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 import numpy as np
 
@@ -133,58 +134,6 @@ def _uniforms_np(bases: np.ndarray, t: int) -> np.ndarray:
     return (_mix64_np(bases + step) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
 
-def _log_h(table: CoefficientTable, lo: int, hi: int) -> np.ndarray:
-    """Untilted log h_k for k = lo..hi-1."""
-    out = np.arange(lo, hi, dtype=float)
-    out *= -math.log(table.tilt)
-    out += table.log_tilted_values[lo:hi]
-    return out
-
-
-def _raise_if_not_finite(name: str, arr: np.ndarray, first: int, model: ConstraintModel) -> None:
-    bad = np.flatnonzero(~np.isfinite(arr[first:]))
-    if len(bad):
-        i = int(bad[0]) + first
-        raise NumericalError(
-            f"sampler {name} table is not finite at index {i} ({arr[i]}) "
-            f"for n={model.n}, alpha={model.alpha}"
-        )
-
-
-def _prefix_sums(table: CoefficientTable, R: np.ndarray, n: int, alpha: int) -> Tuple[np.ndarray, int]:
-    """(P, split): P[k] = log S_(k-1) for k = 0..split, and the last prefix-side row.
-
-    Row alpha+i reads the prefix side when P[i] <= R[alpha+i]. P rises and R
-    falls, so those rows are exactly r <= split, and only they read P, each at
-    most up to P[r]. P is accumulated in chunks, each seeded by the last value
-    of the one before, which is bit-identical to one accumulate, and only as
-    far as split.
-    """
-    m = max(n - alpha, 0)
-    chunks = [np.array([-np.inf])]
-    known, split = 0, (n if m == 0 else None)  # P is known through index `known`
-    while split is None or known < split:
-        # Every row r <= alpha reads P; past alpha, chunks grow by a quarter.
-        stop = min(n if split is None else split, max(alpha, known + max(known // 4, 1024)))
-        buf = np.empty(stop - known + 1)
-        buf[0] = chunks[-1][-1]
-        buf[1:] = _log_h(table, known, stop)
-        with np.errstate(invalid="ignore"):  # a non-finite entry is reported by the caller
-            np.logaddexp.accumulate(buf, out=buf)
-        chunks.append(buf[1:])
-        if split is None:
-            last = min(stop, m)  # rows alpha+known+1 .. alpha+last are decided here
-            over = np.flatnonzero(buf[1 : last - known + 1] > R[alpha + known + 1 : alpha + last + 1])
-            if len(over):
-                split = alpha + known + int(over[0])
-            elif last == m:
-                split = n
-        known = stop
-    if known > split:
-        chunks[-1] = chunks[-1][: len(chunks[-1]) - (known - split)]
-    return np.concatenate(chunks), split
-
-
 @dataclass
 class SamplerState:
     """Inversion tables plus the (seed, counter) position of the next draw.
@@ -214,16 +163,34 @@ class SamplerState:
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
             raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         n, alpha = self.model.n, self.model.alpha
-        if len(self.table.log_tilted_values) < n + 1:
+        logt = self.table.log_tilted_values
+        if len(logt) < n + 1:
             raise DomainError("coefficient table must cover indices 0..n")
-        R = _log_h(self.table, 0, n + 1)
+        # Untilted log h_k; the buffer then becomes the suffix table.
+        R = np.arange(n + 1, dtype=float)
+        R *= -math.log(self.table.tilt)
+        R += logt[: n + 1]
+        P = np.empty(n + 1)
+        P[0] = -np.inf
         with np.errstate(invalid="ignore"):  # a non-finite entry is reported below
+            np.logaddexp.accumulate(R[:n], out=P[1:])
             np.logaddexp.accumulate(R[::-1], out=R[::-1])
-        _raise_if_not_finite("suffix", R, 0, self.model)
-        P, split = _prefix_sums(self.table, R, n, alpha)
-        _raise_if_not_finite("prefix", P, 1, self.model)
-        # Rows r <= alpha start at lo = 0, where S_(lo-1) = 0: c = 1. Rows
-        # r = alpha+i start at lo = i, on the prefix side through r = split.
+        # A bad log h_k spoils P[k+1:] and R[:k+1]; for k = n, only R.
+        bad = np.flatnonzero(~np.isfinite(P[1:]))[:1]
+        if not len(bad):
+            bad = np.flatnonzero(~np.isfinite(R))[-1:]
+        if len(bad):
+            k = int(bad[0])
+            raise NumericalError(
+                f"sampler tables are not finite from coefficient h_{k} "
+                f"(tilted log value {logt[k]}) for n={n}, alpha={alpha}"
+            )
+        # Rows r <= alpha start at lo = 0, where S_(lo-1) = 0: c = 1. Row
+        # r = alpha+i starts at lo = i and reads the prefix side while
+        # P[i] <= R[r]; P rises and R falls, so through r = split.
+        over = np.flatnonzero(P[1 : max(n - alpha, 0) + 1] > R[alpha + 1 :])
+        split = alpha + int(over[0]) if len(over) else n
+        P = P[: split + 1].copy()
         self._top = np.empty(n + 1)
         self._top[: split + 1] = P
         self._c = np.full(n + 1, -1.0)
@@ -242,18 +209,6 @@ class SamplerState:
     @classmethod
     def for_model(cls, model: ConstraintModel, seed: int) -> "SamplerState":
         return cls(model=model, table=TiltedModel.for_model(model).table, seed=seed)
-
-
-def _ascending_search(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """table.searchsorted(keys), run in ascending key order.
-
-    Each search then starts where the last one ended, which on a long table
-    is cheaper than random probes; the results do not depend on the order.
-    """
-    order = keys.argsort()
-    k = np.empty(len(keys), dtype=np.int64)
-    k[order] = table.searchsorted(keys[order])
-    return k
 
 
 def _waves(state: SamplerState, bases: np.ndarray) -> Iterator[tuple]:
@@ -275,15 +230,14 @@ def _waves(state: SamplerState, bases: np.ndarray) -> Iterator[tuple]:
         # w = u on the prefix side and 1 - u on the suffix side: with _c's
         # signs, -w c_r = (u - suf) _c[r].
         target = state._top[rem] + np.log1p((u - suf) * state._c[rem])
-        if suf.all():
-            k = _ascending_search(state._negR, np.negative(target))
-        elif not suf.any():
-            k = state._P.searchsorted(target)
-        else:
-            k = np.empty_like(rem)
-            pre = ~suf
-            k[pre] = state._P.searchsorted(target[pre])
-            k[suf] = _ascending_search(state._negR, np.negative(target[suf]))
+        k = np.empty_like(rem)
+        pre = ~suf
+        k[pre] = state._P.searchsorted(target[pre])
+        # The suffix keys go through one search in ascending order, so each
+        # probe starts near the last one; the indices do not depend on it.
+        key = np.negative(target[suf])
+        order = key.argsort()
+        k[np.flatnonzero(suf)[order]] = state._negR.searchsorted(key[order])
         # Prefix side: k - 1 is the largest index with log S_(k-2) below the
         # target, i.e. j = r + 1 - k; the suffix side gives the same formula.
         # The bounds only catch rounding at the row's two ends.

@@ -103,18 +103,20 @@ class TestFirstCyclePmf:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_table_raises(self, value):
+        # The message names the bad coefficient, whether it spoils both
+        # tables (index 4 < n) or only the suffix table (index n).
         model = ConstraintModel(n=12, alpha=5, theta=1.0)
         good = SamplerState.for_model(model, seed=0).table
-        logt = good.log_tilted_values.copy()
-        logt[4] = value
-        table = CoefficientTable(q=good.q, tilt=good.tilt, log_tilted_values=logt)
-        with pytest.raises(NumericalError):
-            SamplerState(model=model, table=table, seed=0)
+        for index in (4, 12):
+            logt = good.log_tilted_values.copy()
+            logt[index] = value
+            table = CoefficientTable(q=good.q, tilt=good.tilt, log_tilted_values=logt)
+            with pytest.raises(NumericalError, match=rf"from coefficient h_{index} "):
+                SamplerState(model=model, table=table, seed=0)
 
 
 class TestInversionTables:
-    # (10^5, 17782) accumulates its prefix sums in several chunks; every row
-    # of (5, 5) is a prefix row.
+    # Every row of (5, 5) is a prefix row.
     @pytest.mark.parametrize("n,alpha,theta", [(100_000, 17782, 1.0), (2000, 12, 3.0), (12, 5, 0.3), (5, 5, 1.0)])
     def test_prefix_sums_stop_at_the_last_prefix_row(self, n, alpha, theta):
         state = SamplerState.for_model(ConstraintModel(n=n, alpha=alpha, theta=theta), seed=0)
