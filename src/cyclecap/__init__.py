@@ -82,7 +82,7 @@ from .sampler import (
     sample_type_array,
 )
 
-__version__ = "0.1.10"
+__version__ = "0.1.11"
 
 __all__ = [
     "__version__",

@@ -183,15 +183,6 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
     return logw
 
 
-def _recurrence_residual(k: int, logw: np.ndarray, log_values: np.ndarray) -> float:
-    """|rhs/lhs - 1| for k*v_k = sum_{j <= len(logw)} w_j*v_{k-j} (0 if both vanish)."""
-    lhs = math.log(k) + log_values[k]
-    rhs = log_sum_exp_value(logw + log_values[k - len(logw) : k][::-1])
-    if lhs == NEG_INF and rhs == NEG_INF:
-        return 0.0
-    return abs(math.expm1(rhs - lhs))
-
-
 def _stored_logs(G: np.ndarray, events: list) -> np.ndarray:
     """log G in place, each entry shifted by the cumulative exponent of its last rescale.
 
@@ -477,7 +468,6 @@ class CoefficientTable:
     the stored values have tiny dynamic range, which is the whole point.
     """
 
-    q: WeightArray
     tilt: float
     log_tilted_values: np.ndarray = field(repr=False)
 
@@ -492,15 +482,6 @@ class CoefficientTable:
 
     def coefficient(self, k: int) -> LogReal:
         return LogReal(self.log_coefficient(k))
-
-    def recurrence_rel_error(self, k: int) -> float:
-        """|rhs/lhs - 1| for k*h_k = sum_j q_j*h_{k-j} at this k (0 if both vanish)."""
-        self._check_index(k)
-        if k == 0:
-            return 0.0
-        m = min(self.q.alpha, k)
-        logw = _log_weights(self.q.q[:m]) + np.arange(1, m + 1) * math.log(self.tilt)
-        return _recurrence_residual(k, logw, self.log_tilted_values)
 
     def _check_index(self, k: int) -> None:
         if not (0 <= k <= self.N):
@@ -534,7 +515,7 @@ def egf_coefficients(q: WeightArray, N: int, tilt: float = None) -> CoefficientT
     j = np.arange(1, q.alpha + 1, dtype=float)
     logq = _log_weights(q.q)
     try:
-        return CoefficientTable(q=q, tilt=x, log_tilted_values=_log_linear_dp(logq + j * t_req, N))
+        return CoefficientTable(tilt=x, log_tilted_values=_log_linear_dp(logq + j * t_req, N))
     except NumericalError:
         t_int = math.log(solve_saddle(q, float(N)).x)
         if t_int == t_req:
@@ -542,15 +523,16 @@ def egf_coefficients(q: WeightArray, N: int, tilt: float = None) -> CoefficientT
     # Retilting scales h_k by x^k, so the difference folds in exactly.
     log_tilted = _log_linear_dp(logq + j * t_int, N)
     log_tilted += np.arange(N + 1) * (t_req - t_int)
-    return CoefficientTable(q=q, tilt=x, log_tilted_values=log_tilted)
+    return CoefficientTable(tilt=x, log_tilted_values=log_tilted)
 
 
 @dataclass(frozen=True)
 class TiltedModel:
     """A model at its saddle tilt x: the Poisson means and the h-table there.
 
-    model is the bare (n, alpha, theta) triple, mu[j-1] = theta * x^j / j for
-    j = 1..alpha, and table holds the coefficients h_0..h_n of
+    model is the bare (n, alpha, theta) triple, mu is the saddle solution's
+    row of means, mu[j-1] = theta * x^j / j for j = 1..alpha (the same array,
+    not a copy), and table holds the coefficients h_0..h_n of
     exp(theta * sum_{j<=alpha} z^j/j) tilted by x. Every exact query and the
     sampler read these; both arrays are read-only because the most recent
     model's context is cached and shared. Every exact law divides by h_n x^n
@@ -594,19 +576,9 @@ class TiltedModel:
 def _build_tilted(n: int, alpha: int, theta: float) -> TiltedModel:
     model = ConstraintModel(n=n, alpha=alpha, theta=theta)
     sol = _model_solution(n, alpha, theta)
-    x = sol.x
-    table = egf_coefficients(sol.q, n, tilt=x)
-    j = np.arange(1, alpha + 1, dtype=float)
-    log_power = j * math.log(x)
-    with np.errstate(over="ignore"):
-        mu = theta * np.exp(log_power) / j
-    # theta x^j / j is finite where x^j alone overflows (theta tiny, x huge).
-    big = np.isinf(mu)
-    if big.any():
-        mu[big] = np.exp(math.log(theta) + log_power[big] - np.log(j[big]))
-    for shared in (mu, table.log_tilted_values):
-        shared.setflags(write=False)
-    return TiltedModel(model=model, x=x, mu=mu, table=table)
+    table = egf_coefficients(sol.q, n, tilt=sol.x)
+    table.log_tilted_values.setflags(write=False)
+    return TiltedModel(model=model, x=sol.x, mu=sol.mu, table=table)
 
 
 def partition_function(model: ConstraintModel) -> LogReal:
@@ -636,26 +608,6 @@ class CompoundPoissonDist:
     log_pmf_values: np.ndarray = field(repr=False)
     means: np.ndarray
     tail_mass: float
-
-    @property
-    def N(self) -> int:
-        return len(self.log_pmf_values) - 1
-
-    def log_p(self, k: int) -> float:
-        if not (0 <= k <= self.N):
-            raise DomainError(f"pmf index {k} outside 0..{self.N}")
-        return float(self.log_pmf_values[k])
-
-    def p(self, k: int) -> float:
-        return math.exp(self.log_p(k))
-
-    def panjer_rel_error(self, k: int) -> float:
-        """|rhs/lhs - 1| for k*p_k = sum_j j*mu_j*p_{k-j} (0 if both vanish)."""
-        if not (1 <= k <= self.N):
-            raise DomainError(f"recurrence index {k} outside 1..{self.N}")
-        m = min(len(self.means), k)
-        logw = _log_weights(np.arange(1, m + 1) * self.means[:m])
-        return _recurrence_residual(k, logw, self.log_pmf_values)
 
 
 def compound_poisson_pmf(means: Sequence[float], N: int) -> CompoundPoissonDist:

@@ -71,12 +71,13 @@ _CLT_MU_THRESHOLD = 5.0  # clt_battery's proxy for the hypothesis mu_m -> infini
 
 
 def d_cutoff(t: float, mu_alpha: float, alpha: int) -> int:
-    """d_t = max(alpha - floor(t / mu_alpha), 0)."""
+    """d_t = max(alpha - floor(t / mu_alpha), 0); 0 also where t / mu_alpha overflows."""
     if not (0 <= t < math.inf):
         raise DomainError(f"process time must be finite and >= 0, got {t}")
     if not (mu_alpha > 0):
         raise DomainError(f"mu_alpha must be positive, got {mu_alpha}")
-    return max(alpha - int(math.floor(t / mu_alpha)), 0)
+    ratio = float(t) / float(mu_alpha)  # inf past double range, without numpy's warning
+    return 0 if ratio >= alpha else alpha - int(math.floor(ratio))
 
 
 def _validated_grid(grid) -> np.ndarray:
@@ -271,8 +272,10 @@ def check_longest_critical(
     d = np.minimum(model.alpha - ell_k, d_max + 1)
     counts = np.bincount(d, minlength=d_max + 2)  # last slot = rest
     emp = counts / total
-    theo = np.array([gamma_floor_pmf(k, mu_a, d) for d in range(d_max + 1)])
-    theo_rest = float(special.gammaincc(k, (d_max + 1) * mu_a))
+    # Q(k, d*mu) for d = 0..d_max+1; gamma_floor_pmf(k, mu, d) is Q[d] - Q[d+1].
+    Q = special.gammaincc(k, np.arange(d_max + 2) * mu_a)
+    theo = Q[:-1] - Q[1:]
+    theo_rest = float(Q[-1])
     rows = tuple(
         CriticalRow(d=d, empirical=float(emp[d]), theoretical=float(theo[d]))
         for d in range(d_max + 1)
@@ -513,7 +516,7 @@ def exact_standardized_ks(model: ConstraintModel, m: int) -> float:
     with n.
     """
     log_pmf = cycle_count_distribution(model, m)
-    mu_m = mu(solve_model_saddle(model), model.theta, m)
+    mu_m = mu(solve_model_saddle(model), m)
     k = np.arange(len(log_pmf))
     z = (k - mu_m) / math.sqrt(mu_m)
     return discrete_ks_to_normal(z, log_pmf)
@@ -526,7 +529,7 @@ def _clt_means(model: ConstraintModel, m_list: Sequence[int]) -> Dict[int, float
     sol = solve_model_saddle(model)
     mus = {}
     for m in m_list:
-        mu_m = mu(sol, model.theta, m)
+        mu_m = mu(sol, m)
         if mu_m < _CLT_MU_THRESHOLD:
             raise RegimeError(
                 f"mu_{m} = {mu_m:.4g} below threshold {_CLT_MU_THRESHOLD}; "

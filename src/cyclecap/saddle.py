@@ -12,7 +12,7 @@ Derived quantities at the root:
 
     lambda_p = sum_j q_j j^(p-1) x^j   (p = 1, 2, 3;  lambda_1 = n by definition)
     lambda_0 = sum_j (q_j / j) x^j
-    mu_m     = theta x^m / m           (expected m-cycle count, constant rows)
+    mu_j     = q_j x^j / j             (the Poisson mean of the j-cycle count)
 
 Closed-form leading-order asymptotics for the constant row q_j = theta,
 target c*n:
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,13 +56,19 @@ _REGIME_THRESHOLDS = (0.1, 10.0)
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """Tilt x with its residual and the lambda_0..lambda_3 sums (as logs)."""
+    """Tilt x with its residual, the lambda_0..lambda_3 sums (as logs) and the Poisson means.
+
+    mu is the read-only row mu[j-1] = q_j x^j / j, j = 1..alpha: the means of
+    the independent Poisson counts at this tilt. It is the one place the
+    means are computed; every exact law, battery and the h calculus read it.
+    """
 
     x: float
     residual: float
     log_lambdas: tuple
     q: WeightArray
     n: float
+    mu: np.ndarray = field(repr=False)
 
     def lambda_value(self, p: int) -> float:
         return math.exp(self.log_lambdas[p])
@@ -162,7 +168,13 @@ def solve_saddle(q: WeightArray, n: float) -> SaddleSolution:
     if abs(residual) > _RESIDUAL_TOL:
         raise NumericalError(f"saddle residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
     log_lambdas = tuple(_log_lambda(logq, j, t, p) for p in range(4))
-    return SaddleSolution(x=math.exp(t), residual=residual, log_lambdas=log_lambdas, q=q, n=n)
+    x = math.exp(t)
+    # In logs, so finite wherever q_j x^j / j is. At log(x), the tilt every
+    # table is built at, not at t: x holds t only to an ulp, which j scales.
+    mu = np.zeros(q.alpha)
+    mu[mask] = np.exp(logq + j * math.log(x) - np.log(j))
+    mu.setflags(write=False)
+    return SaddleSolution(x=x, residual=residual, log_lambdas=log_lambdas, q=q, n=n, mu=mu)
 
 
 # One entry, as for exact._build_tilted, which reads it: a command asks for
@@ -182,20 +194,15 @@ def solve_model_saddle(model: ConstraintModel, c: float = 1.0) -> SaddleSolution
     return solve_saddle(WeightArray.for_model(model), c * model.n)
 
 
-def mu(sol: SaddleSolution, theta: float, m: int) -> float:
-    """mu_m = theta x^m / m; in logs where x^m alone overflows (theta tiny, x huge)."""
+def mu(sol: SaddleSolution, m: int) -> float:
+    """mu_m = q_m x^m / m: entry m-1 of sol.mu."""
     if not (1 <= m <= sol.q.alpha):
         raise ConstraintError(f"m must satisfy 1 <= m <= alpha={sol.q.alpha}, got {m}")
-    log_power = m * math.log(sol.x)
-    try:
-        return theta * math.exp(log_power) / m
-    except OverflowError:
-        return math.exp(math.log(theta) + log_power - math.log(m))
+    return float(sol.mu[m - 1])
 
 
 def mu_alpha_of(model: ConstraintModel) -> float:
-    sol = solve_model_saddle(model)
-    return mu(sol, model.theta, model.alpha)
+    return mu(solve_model_saddle(model), model.alpha)
 
 
 @dataclass(frozen=True)
@@ -329,7 +336,8 @@ def clt_h_calculus(model: ConstraintModel, m: int, s: float) -> HCalculus:
 
     The tilt x(s) solves n = theta(e^(s/sqrt(mu)) - 1) x^m + theta sum_j x^j,
     i.e. the saddle equation for the row with q_m = theta e^(s/sqrt(mu)).
-    With E = theta e^(s/sqrt(mu)) x^m and lambda_p taken at the perturbed row:
+    With E = theta e^(s/sqrt(mu)) x^m = m mu_m(s), read from the perturbed
+    solution's means, and lambda_p taken at the perturbed row:
 
         h    = lambda_0(s) - n log x(s)
         h'   = E / (m sqrt(mu))
@@ -348,12 +356,12 @@ def clt_h_calculus(model: ConstraintModel, m: int, s: float) -> HCalculus:
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s}")
     sol = solve_model_saddle(model)
-    mu_m = mu(sol, model.theta, m)
+    mu_m = mu(sol, m)
     if mu_m == 0.0:
         raise NumericalError(f"mu_{m} underflows to 0 at the tilt x = {sol.x:.6g}")
     sqrt_mu = math.sqrt(mu_m)
-    q_pert = _perturbed_row(model, m, s / sqrt_mu)
     if s != 0:
+        q_pert = _perturbed_row(model, m, s / sqrt_mu)
         try:
             sol = solve_saddle(q_pert, float(model.n))
         except NumericalError as e:
@@ -361,11 +369,7 @@ def clt_h_calculus(model: ConstraintModel, m: int, s: float) -> HCalculus:
     x = sol.x
     lambda2 = sol.lambda_value(2)
     lambda3 = sol.lambda_value(3)
-    q_m = float(q_pert.q[m - 1])
-    try:
-        e_term = q_m * x**m
-    except OverflowError:  # q_m x^m is finite where x^m alone overflows
-        e_term = math.exp(math.log(q_m) + m * math.log(x))
+    e_term = m * mu(sol, m)
     h = math.exp(sol.log_lambdas[0]) - model.n * math.log(x)
     h1 = e_term / (m * sqrt_mu)
     h2 = h1 / sqrt_mu - (m**2) * h1**2 / lambda2

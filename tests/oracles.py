@@ -193,6 +193,29 @@ def log_linear_dp_reference(logw: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
+def recurrence_rel_error(k: int, weights: np.ndarray, log_values: np.ndarray, tilt: float = 1.0) -> float:
+    """|rhs/lhs - 1| for k*v_k = sum_j w_j*tilt^j*v_(k-j), j <= min(len(weights), k), 0 if both vanish.
+
+    v_i = exp(log_values[i]). A table of the row w stored tilted by x,
+    log(h_i x^i), satisfies the recurrence of the row w_j x^j; a compound
+    Poisson pmf with means mu_j satisfies that of w_j = j*mu_j at tilt 1.
+    Both sides are summed in logs, so entries past double range are fine.
+    """
+    if k == 0:
+        return 0.0
+    m = min(len(weights), k)
+    w = np.asarray(weights[:m], dtype=float)
+    logw = np.full(m, -math.inf)
+    logw[w > 0] = np.log(w[w > 0])
+    terms = logw + np.arange(1, m + 1) * math.log(tilt) + np.asarray(log_values[k - m : k])[::-1]
+    top = float(terms.max())
+    rhs = top if math.isinf(top) else top + math.log(float(np.exp(terms - top).sum()))
+    lhs = math.log(k) + float(log_values[k])
+    if lhs == -math.inf and rhs == -math.inf:
+        return 0.0
+    return abs(math.expm1(rhs - lhs))
+
+
 @lru_cache(maxsize=8)
 def weighted_counts(n: int, weights: Tuple[int, ...]) -> List[int]:
     """A_0..A_n with A_k = k! * [z^k] exp(sum_j weights[j-1] * z^j / j), in integers.

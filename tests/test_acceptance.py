@@ -390,7 +390,7 @@ def test_12_clt_standardized_law_and_h_derivatives():
     for n in (10**3, 10**4, 10**5):
         model = ConstraintModel.from_exponent(n, 0.5, theta=1.0)
         m = model.alpha
-        mus.append(mu(solve_model_saddle(model), model.theta, m))
+        mus.append(mu(solve_model_saddle(model), m))
         ks.append(exact_standardized_ks(model, m))
         fd_err = max(fd_err, _h_calculus_fd_max_rel_err(model, m))
     elapsed = time.time() - t0
@@ -440,7 +440,7 @@ def test_13_expected_count_matches_mu():
         model = ConstraintModel.from_exponent(n, 0.6, theta=1.0)
         sol = solve_model_saddle(model)
         for m in (1, model.alpha // 2, model.alpha):
-            ratio = expected_cycle_count(model, m) / mu(sol, 1.0, m)
+            ratio = expected_cycle_count(model, m) / mu(sol, m)
             if n == 10**4:
                 ok &= 0.9 <= ratio <= 1.1
                 pieces.append(f"m={m}: {ratio:.4f}")

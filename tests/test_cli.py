@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cyclecap
@@ -333,6 +334,36 @@ class TestNonFiniteListFlags:
             "--samples", "20", "--seed", "1", "--triple", triple,
         ]
         assert run(argv) == 2
+
+    def test_cutoff_past_double_range_exits_zero(self, capsys):
+        # t / mu_alpha overflows at t = 1e308, where the cutoff d_t is 0: P_t counts every cycle
+        from cyclecap.limits import d_cutoff
+        from cyclecap.model import ConstraintModel
+        from cyclecap.saddle import mu_alpha_of
+        from cyclecap.sampler import sample_lengths
+
+        code, out = run_capture(
+            ["sample", "--n", "200", "--alpha", "60", "--count", "6", "--seed", "3",
+             "--emit", "process", "--grid", "0.5,1e308"],
+            capsys,
+        )
+        assert code == 0
+        batch = sample_lengths(ConstraintModel(n=200, alpha=60, theta=1.0), 6, 3)
+        rows = [line for line in out.splitlines() if not line.startswith("#")][1:]
+        assert [int(row.split(",")[-1]) for row in rows] == [len(lengths) for lengths in batch]
+
+        code, out = run_capture(
+            ["limits", "--n", "2000", "--alpha", "639", "--check", "tightness",
+             "--samples", "20", "--seed", "1", "--triple", "0,1,1e308"],
+            capsys,
+        )
+        assert code == 0
+        model = ConstraintModel(n=2000, alpha=639, theta=1.0)
+        d1 = d_cutoff(1.0, mu_alpha_of(model), model.alpha)
+        batch = sample_lengths(model, 20, 1)
+        x = np.array([np.count_nonzero(lengths > d1) for lengths in batch])
+        y = np.array([len(lengths) for lengths in batch]) - x
+        assert json.loads(out)["result"]["value"] == float(np.mean((x * x) * (y * y)))
 
     @pytest.mark.parametrize("lists", [["--m-list", ","], ["--m-list", "10", "--s-grid", ","]])
     def test_clt_empty_list(self, capsys, lists):

@@ -37,6 +37,7 @@ from oracles import (
     partition_constant,
     poisson_pmf,
     prefix_distribution,
+    recurrence_rel_error,
     tv_to_poisson_prefix,
     weighted_counts,
 )
@@ -81,7 +82,7 @@ class TestEgfCoefficients:
     def test_recurrence_contract_on_moderate_sizes(self):
         q = WeightArray.constant(1.0, 40)
         table = egf_coefficients(q, 2000)
-        errs = [table.recurrence_rel_error(k) for k in (1, 17, 400, 1999, 2000)]
+        errs = [recurrence_rel_error(k, q.q, table.log_tilted_values, table.tilt) for k in (1, 17, 400, 1999, 2000)]
         assert max(errs) <= 1e-10
 
     def test_huge_dynamic_range(self):
@@ -89,7 +90,7 @@ class TestEgfCoefficients:
         q = WeightArray.constant(50.0, 30)
         table = egf_coefficients(q, 500, tilt=3.0)
         assert np.isfinite(table.log_coefficient(500))
-        assert table.recurrence_rel_error(500) <= 1e-9
+        assert recurrence_rel_error(500, q.q, table.log_tilted_values, table.tilt) <= 1e-9
 
     def test_zero_prefix_weights(self):
         # weights supported on {3,...,6}: coefficients at k not representable vanish
@@ -187,9 +188,10 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("n,alpha", EXACT_MODELS)
     def test_recurrence_contract_on_benchmark_models(self, n, alpha):
         table = TiltedModel.for_model(ConstraintModel(n=n, alpha=alpha, theta=1.0)).table
+        q = np.ones(alpha)
         B = exact._BLOCK
         for k in (1, B - 1, B, alpha, n // 2, n):
-            assert table.recurrence_rel_error(k) <= 1e-10
+            assert recurrence_rel_error(k, q, table.log_tilted_values, table.tilt) <= 1e-10
 
     def test_block_total_just_below_double_overflow(self):
         # h_16 = e^(16*46.25)/16! is about 2^1023.3: the rescale takes exponent 1024
@@ -209,7 +211,7 @@ class TestBlockedKernel:
         assert_same_logs(exact._log_linear_dp(logw, 1), log_linear_dp_reference(logw, 1), 1e-15)
         pmf = compound_poisson_pmf([1e300], 1)
         assert np.all(np.isfinite(pmf.log_pmf_values))
-        assert pmf.panjer_rel_error(1) == 0.0
+        assert recurrence_rel_error(1, [1e300], pmf.log_pmf_values) == 0.0
 
     @pytest.mark.parametrize("N", [*range(2, 16), 20])
     def test_overflow_before_N_still_raises(self, N):
@@ -470,9 +472,10 @@ class TestExtremeWeights:
         egf_coefficients(q, 2000)
         egf_coefficients(q, 500, tilt=3.0)
         assert calls == []
-        table = egf_coefficients(WeightArray.constant(1e10, 50), 3000)
+        q = WeightArray.constant(1e10, 50)
+        table = egf_coefficients(q, 3000)
         assert len(calls) == 1 and table.tilt == 1.0
-        assert table.recurrence_rel_error(177) <= 1e-10
+        assert recurrence_rel_error(177, q.q, table.log_tilted_values, table.tilt) <= 1e-10
 
 
 class TestPartitionFunction:
@@ -499,7 +502,7 @@ class TestCompoundPoisson:
     def test_frozen_value(self):
         # means {mu_1 = 1, mu_2 = 1}: P(T = 2) = e^{-2} (1/2! + 1) = 1.5 e^{-2}
         dist = compound_poisson_pmf(np.array([1.0, 1.0]), 10)
-        assert dist.p(2) == pytest.approx(1.5 * math.exp(-2.0), rel=1e-12)
+        assert math.exp(dist.log_pmf_values[2]) == pytest.approx(1.5 * math.exp(-2.0), rel=1e-12)
 
     def test_matches_direct_convolution(self):
         means = np.array([0.3, 1.2, 0.05])
@@ -515,25 +518,27 @@ class TestCompoundPoisson:
                             poisson_pmf(y1, 0.3) * poisson_pmf(y2, 1.2) * poisson_pmf(y3, 0.05)
                         )
         for k in range(26):
-            assert dist.p(k) == pytest.approx(direct[k], rel=1e-10)
+            assert math.exp(dist.log_pmf_values[k]) == pytest.approx(direct[k], rel=1e-10)
 
     def test_total_mass_with_tail(self):
         means = np.array([0.5, 0.5, 0.5])
         m = float((np.arange(1, 4) * means).sum())
         N = int(20 * m) + 1
         dist = compound_poisson_pmf(means, N)
-        total = sum(dist.p(k) for k in range(N + 1)) + dist.tail_mass
+        total = float(np.exp(dist.log_pmf_values).sum()) + dist.tail_mass
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_point_mass_when_empty(self):
         dist = compound_poisson_pmf(np.array([]), 5)
-        assert dist.p(0) == pytest.approx(1.0)
-        assert dist.p(3) == 0.0
+        assert math.exp(dist.log_pmf_values[0]) == pytest.approx(1.0)
+        assert math.exp(dist.log_pmf_values[3]) == 0.0
         assert dist.tail_mass == pytest.approx(0.0, abs=1e-15)
 
     def test_panjer_identity(self):
-        dist = compound_poisson_pmf(np.array([0.4, 0.8, 0.1, 0.3]), 40)
-        errs = [dist.panjer_rel_error(k) for k in range(1, 41)]
+        means = np.array([0.4, 0.8, 0.1, 0.3])
+        dist = compound_poisson_pmf(means, 40)
+        weights = np.arange(1, 5) * means
+        errs = [recurrence_rel_error(k, weights, dist.log_pmf_values) for k in range(1, 41)]
         assert max(errs) <= 1e-10
 
     def test_negative_mean_rejected(self):
@@ -663,7 +668,7 @@ class TestChernoff:
             bound = chernoff_tail_bound(means, rho)
             N = int(5 * rho * m) + len(means) + 2
             dist = compound_poisson_pmf(means, N)
-            tail = sum(dist.p(k) for k in range(math.ceil(rho * m), N + 1)) + dist.tail_mass
+            tail = float(np.exp(dist.log_pmf_values[math.ceil(rho * m) :]).sum()) + dist.tail_mass
             assert math.exp(bound.logval) >= tail - 1e-12
 
 

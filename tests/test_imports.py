@@ -8,8 +8,9 @@ for callers outside the file).
 A name in `cyclecap.__all__`, and every module-level def, class and
 assigned name of a module of the package (dunder names aside), must be
 referenced by a module of the package or of `perfbench/`, outside its own
-definition; `__init__.py` and the tests do not count. The allowlists name
-each exception and why it stays.
+definition; `__init__.py` and the tests do not count. So must every public
+method and property of a class in `cyclecap.__all__`, by attribute name. The
+allowlists name each exception and why it stays.
 """
 
 import ast
@@ -58,6 +59,7 @@ def test_the_check_sees_an_unused_import():
 EXPORT_ALLOWLIST = {
     "sample_permutation": "the documented permutation sampler; the package itself draws cycle types",
     "sample_type_array": "the dense count-matrix sampler that acceptance criterion 3 draws from",
+    "gamma_floor_pmf": "the critical regime's limit law; check_longest_critical reads it from one gammaincc call",
 }
 CALLER_FILES = sorted(
     p
@@ -89,14 +91,18 @@ def referenced_names(source: str):
     return names
 
 
-def uncalled_exports(init_source: str, caller_sources):
-    """Names in `__all__` of the init source that no caller source references."""
-    tree = ast.parse(init_source)
-    exported = next(
+def exported_names(init_source: str):
+    """The names in `__all__` of the init source."""
+    return next(
         ast.literal_eval(node.value)
-        for node in tree.body
+        for node in ast.parse(init_source).body
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
     )
+
+
+def uncalled_exports(init_source: str, caller_sources):
+    """Names in `__all__` of the init source that no caller source references."""
+    exported = exported_names(init_source)
     used = set().union(*(referenced_names(s) for s in caller_sources))
     return sorted(name for name in exported if name not in used)
 
@@ -139,3 +145,59 @@ def test_the_check_sees_a_leftover_module_name():
     module = "_FFT_C = 8.0\n_EPS = 1e-16\n__all__ = []\n\ndef _norm(v):\n    return _norm(v) * _EPS\n"
     assert unread_module_names([module], [module]) == ["_FFT_C", "_norm"]
     assert unread_module_names([module], [module, "import m\nm._norm(m._FFT_C)\n"]) == []
+
+
+# Public methods and properties of exported classes kept though nothing in the package reads them.
+METHOD_ALLOWLIST = {
+    "CycleType.lengths": "perfbench/tests/test_bench_oracle.py reads it to check the integer oracle",
+}
+
+
+def read_attributes(node, own=""):
+    """Attribute names read under node, each def or class's own name aside within its body."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        own = node.name
+    names = {node.attr} if isinstance(node, ast.Attribute) else set()
+    for child in ast.iter_child_nodes(node):
+        names |= read_attributes(child, own)
+    return names - {own}
+
+
+def uncalled_methods(module_sources, exported, caller_sources):
+    """Class.method for every public method or property of an exported class that no caller reads."""
+    used = set().union(*(read_attributes(ast.parse(s)) for s in caller_sources))
+    return sorted(
+        f"{stmt.name}.{item.name}"
+        for s in module_sources
+        for stmt in ast.parse(s).body
+        if isinstance(stmt, ast.ClassDef) and stmt.name in exported
+        for item in stmt.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+        and item.name not in used
+    )
+
+
+def test_every_public_method_is_read():
+    exported = exported_names((ROOT / "src/cyclecap/__init__.py").read_text())
+    modules = [p.read_text() for p in CALLER_FILES if p.parent.name == "cyclecap"]
+    uncalled = uncalled_methods(modules, exported, [p.read_text() for p in CALLER_FILES])
+    assert uncalled == sorted(METHOD_ALLOWLIST)
+
+
+def test_the_check_sees_an_uncalled_method():
+    module = (
+        "class A:\n"
+        "    def f(self):\n        return self.f()\n"
+        "    @property\n    def g(self):\n        return self.h()\n"
+        "    def h(self):\n        return 1\n"
+        "    def _k(self):\n        return 2\n"
+        "    def __len__(self):\n        return 3\n"
+        "class B:\n"
+        "    def f(self):\n        return 4\n"
+    )
+    assert uncalled_methods([module], ["A"], [module]) == ["A.f", "A.g"]
+    assert uncalled_methods([module], ["A", "B"], [module]) == ["A.f", "A.g", "B.f"]
+    # a plain name is not an attribute read; an attribute read anywhere else is
+    assert uncalled_methods([module], ["A"], [module, "f = g = 0\nf + g\n"]) == ["A.f", "A.g"]
+    assert uncalled_methods([module], ["A"], [module, "def k(a):\n    return a.f() + a.g\n"]) == []

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+import cyclecap.limits as limits
 from cyclecap.errors import DomainError, RegimeError
-from cyclecap.exact import cycle_count_distribution
+from cyclecap.exact import TiltedModel, cycle_count_distribution
 from cyclecap.limits import (
     _checked_flatten,
     _counts_longer,
@@ -51,6 +52,10 @@ class TestDCutoff:
 
     def test_floors_at_zero(self):
         assert d_cutoff(100.0, 0.5, 10) == 0
+        # t / mu_alpha is inf in double, which floor cannot turn into an integer
+        assert d_cutoff(1e300, 1e-10, 100) == 0
+        assert d_cutoff(np.float64(1e308), np.float64(1e-300), 5) == 0
+        assert list(_cutoffs(np.array([0.5, 1e308]), 0.1, 100)) == [95, 0]
 
     def test_zero_time_is_alpha(self):
         assert d_cutoff(0.0, 0.123, 37) == 37
@@ -146,6 +151,16 @@ class TestGammaFloorPmf:
             gamma_floor_pmf(1, 1.0, -1)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("mu_value", [0.05, 0.2, 0.5, 1.0, 3.0, 7.0])
+@pytest.mark.parametrize("d_max", [0, 5, 30, 60])
+def test_one_gammaincc_call_is_the_per_d_pmf(k, mu_value, d_max):
+    # check_longest_critical's form: Q(k, d*mu) for d = 0..d_max+1, differenced
+    Q = special.gammaincc(k, np.arange(d_max + 2) * mu_value)
+    assert list(Q[:-1] - Q[1:]) == [gamma_floor_pmf(k, mu_value, d) for d in range(d_max + 1)]
+    assert float(Q[-1]) == float(special.gammaincc(k, (d_max + 1) * mu_value))
+
+
 class TestRegimeGuards:
     def test_diverging_check_refuses_critical_model(self, critical_samples):
         with pytest.raises(RegimeError):
@@ -211,6 +226,13 @@ class TestCheckLongestCritical:
         assert tab.rows[0].theoretical == pytest.approx(
             gamma_floor_pmf(2, tab.mu_alpha, 0), abs=1e-15
         )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d_max", [0, 5, 30, 60])
+    def test_limit_law_is_gamma_floor_pmf_bit_for_bit(self, critical_samples, k, d_max):
+        tab = check_longest_critical(critical_samples, CRITICAL, k=k, d_max=d_max)
+        assert [r.theoretical for r in tab.rows] == [gamma_floor_pmf(k, tab.mu_alpha, d) for d in range(d_max + 1)]
+        assert tab.theoretical_rest == float(special.gammaincc(k, (d_max + 1) * tab.mu_alpha))
 
     def test_invalid_arguments(self, critical_samples):
         with pytest.raises(DomainError):
@@ -315,7 +337,7 @@ class TestNormalDistance:
         model = ConstraintModel(n=300, alpha=10, theta=1.0)
         m = 7
         log_pmf = cycle_count_distribution(model, m)
-        mu_m = mu(solve_model_saddle(model), model.theta, m)
+        mu_m = mu(solve_model_saddle(model), m)
         p = np.exp(log_pmf)
         cdf = np.cumsum(p)
         phi = stats.norm.cdf((np.arange(len(p)) - mu_m) / math.sqrt(mu_m))
@@ -372,6 +394,52 @@ class TestCLTBattery:
     def test_invalid_sample_count(self):
         with pytest.raises(DomainError):
             clt_battery(DIVERGING, [1], 0)
+
+
+# (n, alpha, theta): narrow and wide caps in every regime, a theta just off 1,
+# small and large theta, and a tilt x past 1e100 (theta = 1e-306).
+ONE_MU_MODELS = [
+    (10_000, 10, 1.0),
+    (100_000, 100, 1.0),
+    (100_000, 1072, 1.0),
+    (100_000, 17782, 1.0),
+    (100_000, 17782, 1.0 + 2.0**-20),
+    (10_000, 2511, 1.0),
+    (2000, 12, 0.1),
+    (65536, 2352, 1.0),
+    (3000, 10, 3.0),
+    (1000, 3, 1e-306),
+]
+
+
+@pytest.mark.parametrize("n,alpha,theta", ONE_MU_MODELS)
+def test_one_mean_row_everywhere(monkeypatch, n, alpha, theta):
+    """saddle.mu, TiltedModel.mu, the clt battery's mu_m and the mu_m that
+    exact_standardized_ks standardizes with are one row, bit for bit."""
+    model = ConstraintModel(n=n, alpha=alpha, theta=theta)
+    sol = solve_model_saddle(model)
+    row = np.array([mu(sol, m) for m in range(1, alpha + 1)])
+    tm = TiltedModel.for_model(model)
+    assert tm.mu is sol.mu and not tm.mu.flags.writeable
+    assert np.array_equal(row, tm.mu)
+    assert np.all(np.isfinite(row))
+
+    seen = []
+    ks = limits.discrete_ks_to_normal
+    monkeypatch.setattr(limits, "discrete_ks_to_normal", lambda z, p: seen.append(z) or ks(z, p))
+    m_list = [m for m in range(1, alpha + 1) if row[m - 1] >= 5.0]
+    ks_m = [1, alpha]
+    if m_list:
+        rep = clt_battery(model, m_list, 1, samples=[np.ones(n, dtype=np.int64)])
+        assert [e.mu_m for e in rep.entries] == [row[m - 1] for m in m_list]
+        if n <= limits._EXACT_LAW_MAX_N:
+            ks_m = m_list + ks_m
+    for m in (1, alpha):
+        exact_standardized_ks(model, m)
+    assert len(seen) == len(ks_m)
+    for m, z in zip(ks_m, seen):
+        k = np.arange(len(z))
+        assert np.array_equal(z, (k - row[m - 1]) / math.sqrt(row[m - 1]))
 
 
 def _invalid_batches(model):

@@ -97,12 +97,12 @@ class TestSolveSaddle:
 class TestMu:
     def test_frozen_value(self):
         sol = solve_saddle(WeightArray.constant(1.0, 10), 100.0)
-        assert mu(sol, 1.0, 10) == pytest.approx(2.98, abs=6e-3)
+        assert mu(sol, 10) == pytest.approx(2.98, abs=6e-3)
 
     def test_out_of_range(self):
         sol = solve_saddle(WeightArray.constant(1.0, 10), 100.0)
         with pytest.raises(ConstraintError):
-            mu(sol, 1.0, 11)
+            mu(sol, 11)
 
     def test_mu_alpha_of(self):
         model = ConstraintModel(n=100, alpha=10, theta=1.0)
@@ -196,7 +196,7 @@ class TestExpectedCount:
         model = ConstraintModel(n=10**4, alpha=251, theta=1.0)
         sol = solve_model_saddle(model)
         for m in (1, 125, 251):
-            ratio = expected_cycle_count(model, m) / mu(sol, 1.0, m)
+            ratio = expected_cycle_count(model, m) / mu(sol, m)
             assert abs(ratio - 1.0) < 0.1
 
 

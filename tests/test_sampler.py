@@ -110,7 +110,7 @@ class TestFirstCyclePmf:
         for index in (4, 12):
             logt = good.log_tilted_values.copy()
             logt[index] = value
-            table = CoefficientTable(q=good.q, tilt=good.tilt, log_tilted_values=logt)
+            table = CoefficientTable(tilt=good.tilt, log_tilted_values=logt)
             with pytest.raises(NumericalError, match=rf"from coefficient h_{index} "):
                 SamplerState(model=model, table=table, seed=0)
 
