@@ -272,10 +272,8 @@ def check_longest_critical(
     d = np.minimum(model.alpha - ell_k, d_max + 1)
     counts = np.bincount(d, minlength=d_max + 2)  # last slot = rest
     emp = counts / total
-    # Q(k, d*mu) for d = 0..d_max+1; gamma_floor_pmf(k, mu, d) is Q[d] - Q[d+1].
-    Q = special.gammaincc(k, np.arange(d_max + 2) * mu_a)
-    theo = Q[:-1] - Q[1:]
-    theo_rest = float(Q[-1])
+    theo = np.array([gamma_floor_pmf(k, mu_a, d) for d in range(d_max + 1)])
+    theo_rest = float(special.gammaincc(k, (d_max + 1) * mu_a))
     rows = tuple(
         CriticalRow(d=d, empirical=float(emp[d]), theoretical=float(theo[d]))
         for d in range(d_max + 1)

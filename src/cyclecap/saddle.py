@@ -171,8 +171,9 @@ def solve_saddle(q: WeightArray, n: float) -> SaddleSolution:
     x = math.exp(t)
     # In logs, so finite wherever q_j x^j / j is. At log(x), the tilt every
     # table is built at, not at t: x holds t only to an ulp, which j scales.
+    # Where x underflows to 0 (t below about -745), t stands in for log(x).
     mu = np.zeros(q.alpha)
-    mu[mask] = np.exp(logq + j * math.log(x) - np.log(j))
+    mu[mask] = np.exp(logq + j * (math.log(x) if x > 0 else t) - np.log(j))
     mu.setflags(write=False)
     return SaddleSolution(x=x, residual=residual, log_lambdas=log_lambdas, q=q, n=n, mu=mu)
 

@@ -87,6 +87,14 @@ class TestExitCodes:
         assert run(argv) == 3
         assert capsys.readouterr().out == ""
 
+    def test_tilt_below_double_range_exits_zero(self, capsys):
+        # target 1e-320 puts the root t near -759.8: x = e^t is 0.0 in double
+        argv = ["saddle", "--n", "1", "--alpha", "1", "--theta", "1e10", "--c", "1e-320"]
+        code, out = run_capture(argv, capsys)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["x"] == 0.0 and result["asymptotic_x"] is None
+
     def test_regime_guard_exits_four(self, capsys):
         # alpha = 95 at n = 2000 is critical; the diverging battery refuses
         code = run(

@@ -59,7 +59,6 @@ def test_the_check_sees_an_unused_import():
 EXPORT_ALLOWLIST = {
     "sample_permutation": "the documented permutation sampler; the package itself draws cycle types",
     "sample_type_array": "the dense count-matrix sampler that acceptance criterion 3 draws from",
-    "gamma_floor_pmf": "the critical regime's limit law; check_longest_critical reads it from one gammaincc call",
 }
 CALLER_FILES = sorted(
     p

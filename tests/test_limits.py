@@ -151,16 +151,6 @@ class TestGammaFloorPmf:
             gamma_floor_pmf(1, 1.0, -1)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
-@pytest.mark.parametrize("mu_value", [0.05, 0.2, 0.5, 1.0, 3.0, 7.0])
-@pytest.mark.parametrize("d_max", [0, 5, 30, 60])
-def test_one_gammaincc_call_is_the_per_d_pmf(k, mu_value, d_max):
-    # check_longest_critical's form: Q(k, d*mu) for d = 0..d_max+1, differenced
-    Q = special.gammaincc(k, np.arange(d_max + 2) * mu_value)
-    assert list(Q[:-1] - Q[1:]) == [gamma_floor_pmf(k, mu_value, d) for d in range(d_max + 1)]
-    assert float(Q[-1]) == float(special.gammaincc(k, (d_max + 1) * mu_value))
-
-
 class TestRegimeGuards:
     def test_diverging_check_refuses_critical_model(self, critical_samples):
         with pytest.raises(RegimeError):
@@ -226,13 +216,6 @@ class TestCheckLongestCritical:
         assert tab.rows[0].theoretical == pytest.approx(
             gamma_floor_pmf(2, tab.mu_alpha, 0), abs=1e-15
         )
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    @pytest.mark.parametrize("d_max", [0, 5, 30, 60])
-    def test_limit_law_is_gamma_floor_pmf_bit_for_bit(self, critical_samples, k, d_max):
-        tab = check_longest_critical(critical_samples, CRITICAL, k=k, d_max=d_max)
-        assert [r.theoretical for r in tab.rows] == [gamma_floor_pmf(k, tab.mu_alpha, d) for d in range(d_max + 1)]
-        assert tab.theoretical_rest == float(special.gammaincc(k, (d_max + 1) * tab.mu_alpha))
 
     def test_invalid_arguments(self, critical_samples):
         with pytest.raises(DomainError):

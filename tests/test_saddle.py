@@ -80,6 +80,10 @@ class TestSolveSaddle:
         model = ConstraintModel(n=1000, alpha=30, theta=1.0)
         sol = solve_model_saddle(model, c=1e-300)
         assert sol.lambda_value(1) == pytest.approx(1e-297, rel=1e-12)
+        # the root t is about -759.8, so x = e^t is 0.0; mu_1 = lambda_1 is the target
+        sol = solve_saddle(WeightArray.constant(1e10, 1), 1e-320)
+        assert sol.x == 0.0
+        assert sol.mu[0] == pytest.approx(1e-320, rel=1e-3)  # subnormal: few digits
 
     def test_c_multiplier(self):
         model = ConstraintModel(n=100, alpha=10, theta=1.0)
