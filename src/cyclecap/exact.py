@@ -18,28 +18,36 @@ Geometric rows, w_j = theta*x^j on b+1..c and zero elsewhere with c - b >= 128
 and a zero head of b <= (c-1)/2, take a panel scan: every model table, every
 capped row and the row without weight alpha (b = 0), and the rows without
 weights 1..b of the prefix laws and the TV distance (b >= 1). There
-k*h_k = theta*sum_{b<j<=c} x^j h_{k-j}, so on a panel of S = min(c, 2048)
+k*h_k = theta*sum_{b<j<=c} x^j h_{k-j}, so on a panel of at most S = 2048
 indices the terms of older coefficients are positive sums of x^t-weighted
-entries over the last c of them: from d = b on one suffix sum (the common head
-summed pairwise, a cumsum over the S-entry tail), before it a common middle
-sum plus two cumsums of at most b entries. With b = 0 the in-panel sum
-U_d = sum_{i<d} x^-i h_(k0+i) obeys U_(d+1) = (1 + theta/k)*U_d + theta*x*W_d/k
-with positive terms: one cumprod and one cumsum. With b >= 1 the in-panel
-terms reach h_(k0+d) only from i < d-b, a lag-(b+1) recurrence solved by its
-Neumann series of positive terms, on panels short enough (at most
-b+1+k0/(2*theta)) that each term is at most half the one before. Every
-k > b is then reachable, so h_1..h_b are the table's only zeros, known up
-front; a longer zero head, which leaves interior zeros, stays on the kernel.
-A table takes N/S Python steps and O(N*(1 + c/S)) work, plus the short early
-panels of a zero head. Such a panel costs up to 16 kernel blocks, so a
-zero-head row with more than one panel per 16 blocks (small N, or a large
-theta, whose early panels stay short) stays on the kernel. The scan is
-kept only under a range certificate: the powers x^t, the products of the
-powers with computed nonzero entries, the cumsum's terms and every entry past
-h_b are finite and normal. A row whose logs are not a line within a few ulps,
-with c - b below 128, or whose certificate fails runs the blocked kernel
-below, so every raise and retilt is the kernel's. Rescales are the kernel's,
-once per panel.
+entries over the last c of them. Each completed panel is a block whose sum
+of x^-(k-k_p) h_k (k_p its first index) is stored once, at the buffer's scale,
+with its least term; a later panel from k0 weighs it by x^(k0-1-k_p). So the
+older terms come from the S-entry tail, read entry by entry, a partial block
+at each end of the window and about c/S stored sums: from d = b on one suffix
+sum (a cumsum over the tail, the rest pairwise), before it a middle sum plus
+two cumsums of at most min(b, S) entries; nothing is subtracted. With b = 0
+the in-panel sum U_d = sum_{i<d} x^-i h_(k0+i) obeys
+U_(d+1) = (1 + theta/k)*U_d + theta*x*W_d/k with positive terms: one cumprod
+and one cumsum. With b >= 1 the in-panel terms reach h_(k0+d) only from
+i < d-b, a lag-(b+1) recurrence solved by its Neumann series of positive
+terms, on panels short enough (at most b+1+k0/(2*theta)) that each term is at
+most half the one before. Every k > b is then reachable, so h_1..h_b are the
+table's only zeros, known up front; a longer zero head, which leaves interior
+zeros, stays on the kernel. A table takes N/S Python steps and
+O(N + N*c/S^2) work, plus the short early panels of a zero head. Such a panel
+costs up to 16 kernel blocks, so a zero-head row with more than one panel per
+16 blocks (small N, or a large theta, whose early panels stay short) stays on
+the kernel. The scan is kept only under a range certificate: the powers x^t,
+the products of the powers with computed nonzero entries (implied by the
+entries' own where x >= 1, checked through each block's least term where
+x < 1), the cumsum's terms and every entry past h_b are finite and normal. A
+row whose logs are not a line within a few ulps, with c - b below 128, or
+whose certificate fails runs the blocked kernel below, so every raise and
+retilt is the kernel's. Rescales are the kernel's, once per panel; a rescale
+also scales every stored sum inside the window by its power of two, which is
+exact, since each sum is at least its block's first entry and so stays
+normal.
 
 The kernel runs in the *linear* domain, one block of B = 16 consecutive
 indices per Python step (a blocked power-series solve in the manner of
@@ -238,9 +246,21 @@ def _geometric_scan(logw: np.ndarray, N: int) -> Optional[np.ndarray]:
     from k0 the terms of older coefficients into h_(k0+d) are
     theta*x^(d+1)*W_d with prod[s] = x^(c-1-s) h_(k0-c+s) over the last c
     entries. From d = b on, W_d = sum_{s>=d} prod[s], one positive suffix sum:
-    its common head is summed pairwise, the tail by one cumsum. Before d = b,
-    W_d = sum prod[d : d+c-b], the common middle prod[b : c-b] plus two
-    cumsums of at most b entries; nothing is subtracted.
+    the tail s < span by one cumsum, the rest pairwise. Before d = b,
+    W_d = sum prod[d : d+c-b]: prod[d : m] with m = min(b, span), the middle
+    prod[m : c-b], and a cumsum of prod[c-b : c-b+d]; nothing is subtracted.
+
+    The middle and the rest read whole blocks through stored sums. Block 0 is
+    h_0..h_b, block p the entries of panel p, from k_p on; when panel p
+    completes, the sum of its g_d = x^-d h_(k_p+d) is stored at the buffer's
+    current scale, with their least value. A later window holds whole blocks
+    between a partial block at each end; it reads block p as x^(k0-1-k_p)
+    times its sum, and the partial blocks and the tail entry by entry. Where
+    x < 1 the products' certificate reads the least values the same way;
+    where x >= 1 it is implied, since x^t >= 1 times a normal entry is normal.
+    A rescale of the window scales every block inside it by the same power of
+    two. A block that straddles the window's first entry keeps its old scale,
+    but no later window holds it whole.
 
     With g_d = x^-d h_(k0+d) and f_d = theta*x*W_d/k, the panel's own terms
     give g_d = f_d + (theta/k)*sum_{i<d-b} g_i. With b = 0 the in-panel sum
@@ -248,7 +268,11 @@ def _geometric_scan(logw: np.ndarray, N: int) -> Optional[np.ndarray]:
     cumprod and one cumsum of positive terms. With b >= 1 this lag-(b+1)
     recurrence is summed as its Neumann series (`_lagged_neumann`), whose
     terms shrink by q = theta*(span-b-1)/k0 <= 1/2 on the spans allowed.
-    O(c + span) per panel, a few times span more with b >= 1.
+    O(span + c/_SCAN_PANEL) per panel, a few times span more with b >= 1, so
+    O(N + N*c/_SCAN_PANEL^2) per table. The prefix sums and products call
+    np.add.accumulate and np.multiply.accumulate, the ufuncs behind np.cumsum
+    and np.cumprod, without their dispatch: the same values, a few
+    microseconds sooner per call.
 
     Returns None, so that the blocked kernel runs instead, where the row is not
     geometric (`_geometric_run`), where a zero-head row needs more than one
@@ -277,27 +301,58 @@ def _geometric_scan(logw: np.ndarray, N: int) -> Optional[np.ndarray]:
         # k < 0, and h_1..h_b stay exact zeros.
         buf = np.zeros(c + N + 1)
         buf[c] = 1.0
-        prod = np.empty(c)
+        # Block 0 holds h_0..h_b, block p >= 1 the entries of panel p, from
+        # k = starts[p] to starts[p+1]. sums[p] is the sum of x^-(k - starts[p]) h_k
+        # over the block at the current scale, mins[p] its least nonzero term.
+        starts = np.concatenate(([0, lag], lag + np.cumsum(spans)))
+        sums = np.ones(len(spans) + 1)  # block 0: h_0
+        mins = np.ones(len(spans) + 1)
+        # With x >= 1 every product of a normal entry and a power x^t is normal.
+        check = d < 0
         events = []
         exponent = 0
         k0 = lag
-        for span in spans:
-            np.multiply(xr, buf[k0 : k0 + c], out=prod)
+        i = j = 0
+        for p, span in enumerate(spans, 1):
+            base = k0 - c  # the k of s = 0, the oldest entry in the window
+            # P[s] = x^(c-1-s) h_(base+s) for s < E; past E, whole blocks i..p-1
+            # (and the exact zeros of k < 0 before block 0 where i = 0).
+            # base + span = starts[p+1] - c grows with p, and so does i.
+            while starts[i] < base + span:
+                i += 1
+            E = span if i == 0 else int(starts[i]) - base
+            P = xr[:E] * buf[k0 : k0 + E]
             # the products of computed nonzero entries: h_0, and h_k from k = b+1 on
-            if not (
-                prod[max(c - k0 + lag, 0) :].min(initial=math.inf) >= _TINY
-                and (k0 > c or prod[c - k0] >= _TINY)
+            if check and not (
+                P[max(lag - base, 0) :].min(initial=math.inf) >= _TINY
+                and (base > 0 or -base >= E or P[-base] >= _TINY)
             ):
                 return None
-            # W[d] = sum_{s >= d} prod[s]: the tail's cumsum, then the pairwise head
-            W = np.cumsum(prod[span - 1 :: -1])[::-1]
-            W += prod[span:].sum()
+            # W[d] = sum_{s >= d} P[s]: the tail's cumsum, then the rest pairwise
+            W = np.add.accumulate(P[span - 1 :: -1])[::-1]
+            rest = P[span:].sum()
+            if i < p:
+                w = xp[k0 - 1 - starts[i:p]]  # x^(k0-1-starts[q]) weighs block q
+                if check and not (mins[i:p] * w).min() >= _TINY:
+                    return None
+                blocks = sums[i:p] * w
+                rest += blocks.sum()
+            W += rest
             if b:
-                # W[d] = sum prod[d : d+c-b] for d < b: the middle, then both ends
+                # W[d] = sum P[d : d+c-b] for d < b: P from d to m, the middle
+                # up to c-b, then the first d entries from c-b on
                 m = min(b, span)
-                W[:m] = prod[b : c - b].sum()
-                W[:m] += np.cumsum(prod[b - 1 :: -1])[::-1][:m]
-                W[1:m] += np.cumsum(prod[c - b : c - b + m - 1])
+                while starts[j + 1] <= k0 - b:  # the last block start by k0-b, so
+                    j += 1  # blocks i..j-1 end there
+                cut = int(starts[j]) - base if j >= i else c - b  # from there on entry by entry
+                hi = c - b + m - 1
+                edge = P[cut:hi] if hi <= E else xr[cut:hi] * buf[k0 + cut : k0 + hi]
+                mid = P[m : min(E, c - b)].sum()
+                if j >= i:  # then i <= j < p, so the blocks were read above
+                    mid += blocks[: j - i].sum() + edge[: c - b - cut].sum()
+                W[:m] = mid
+                W[:m] += np.add.accumulate(P[m - 1 :: -1])[::-1]
+                W[1:m] += np.add.accumulate(edge[c - b - cut :])
             k = np.arange(k0, k0 + span, dtype=float)
             r = theta / k
             f = theta_x * W
@@ -307,16 +362,22 @@ def _geometric_scan(logw: np.ndarray, N: int) -> Optional[np.ndarray]:
                     return None
                 h = _lagged_neumann(f, r, lag, theta * max(span - lag, 0) / k0)
             else:
-                Q = np.cumprod(1.0 + r)  # Q[d] = prod_{i <= d} (1 + theta/(k0+i))
+                Q = np.multiply.accumulate(1.0 + r)  # Q[d] = prod_{i <= d} (1 + theta/(k0+i))
                 terms = f / Q
                 if not terms.min() >= _TINY:  # also where Q overflowed
                     return None
                 # g_d = f_d + theta*U_d/k, U_d = Q_(d-1)*sum_{i<d} terms_i, U_0 = 0
                 h = np.empty(span)
                 h[0] = 0.0
-                np.multiply(Q[:-1], np.cumsum(terms[:-1]), out=h[1:])
+                np.multiply(Q[:-1], np.add.accumulate(terms[:-1]), out=h[1:])
                 h *= r
                 h += f
+            # h holds g_d = x^-d h_(k0+d) here. A block is read only if it fits in
+            # a later window beside that panel's tail: if it and the next span <= c.
+            if p < len(spans) and span + spans[p] <= c:
+                sums[p] = h.sum()
+                if check:
+                    mins[p] = h.min()
             h *= xp[:span]
             total = h.sum()
             if not (h.min() >= _TINY and total < math.inf):
@@ -336,6 +397,11 @@ def _geometric_scan(logw: np.ndarray, N: int) -> Optional[np.ndarray]:
             if np.any((window < math.ldexp(_TINY, max(e, 0))) & (window > 0.0)):
                 return None
             np.ldexp(window, -e, out=window)
+            # and the blocks inside the window: each sum is at least its first
+            # entry, so it stays normal and scales exactly
+            q = int(np.searchsorted(starts, lo - c))
+            np.ldexp(sums[q : p + 1], -e, out=sums[q : p + 1])
+            np.ldexp(mins[q : p + 1], -e, out=mins[q : p + 1])
             exponent += e
             events.append((lo - c, exponent))
     return _stored_logs(buf[c : c + N + 1], events)
@@ -378,7 +444,7 @@ def _lagged_neumann(f: np.ndarray, r: np.ndarray, lag: int, q: float) -> np.ndar
     while lo + lag < len(g) and rest > floor:
         lo += lag
         t += 1
-        e = r[lo:] * np.cumsum(e[: len(g) - lo])
+        e = r[lo:] * np.add.accumulate(e[: len(g) - lo])
         g[lo:] += e
         rest *= q / (t + 1)
     return g
@@ -491,10 +557,12 @@ class CoefficientTable:
 def egf_coefficients(q: WeightArray, N: int, tilt: float = None) -> CoefficientTable:
     """Coefficients of exp(sum_j (q_j/j) z^j) up to order N, optionally x-tilted.
 
-    O(N) time for a geometric row, q_j x^j = theta*x^j on b+1..c and zero
-    elsewhere with c - b >= 128 and b <= (c-1)/2 (the scan: a model's own row,
-    a capped row, the row without weight alpha, the row without weights
-    1..b), O(N * alpha) for any other (the blocked kernel). The DP runs at the
+    O(N + N*c/2048^2) time for a geometric row, q_j x^j = theta*x^j on
+    b+1..c and zero elsewhere with c - b >= 128 and b <= (c-1)/2 (the scan: a
+    model's own row, a capped row, the row without weight alpha, the row
+    without weights 1..b; each 2048-coefficient panel's sum is stored once, at
+    its own power of x and the buffer's scale, and rescaled with the window),
+    O(N * alpha) for any other (the blocked kernel). The DP runs at the
     requested tilt whenever the table fits in double range there, so ratios
     of tables at one tilt keep every digit. Where it does not (the DP raises),
     the row is rerun at its saddle tilt for N and the difference is folded

@@ -168,7 +168,10 @@ def solve_saddle(q: WeightArray, n: float) -> SaddleSolution:
     if abs(residual) > _RESIDUAL_TOL:
         raise NumericalError(f"saddle residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
     log_lambdas = tuple(_log_lambda(logq, j, t, p) for p in range(4))
-    x = math.exp(t)
+    try:
+        x = math.exp(t)
+    except OverflowError:
+        raise NumericalError(f"the saddle tilt x = e^{t:.6g} exceeds double range") from None
     # In logs, so finite wherever q_j x^j / j is. At log(x), the tilt every
     # table is built at, not at t: x holds t only to an ulp, which j scales.
     # Where x underflows to 0 (t below about -745), t stands in for log(x).

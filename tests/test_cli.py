@@ -95,6 +95,16 @@ class TestExitCodes:
         result = json.loads(out)["result"]
         assert result["x"] == 0.0 and result["asymptotic_x"] is None
 
+    @pytest.mark.parametrize(
+        "command", [["saddle"], ["partition"], ["tvd", "--b", "1"], ["sample", "--count", "2", "--seed", "1"]]
+    )
+    def test_tilt_past_double_range_exits_three(self, capsys, command):
+        # theta = 1e-306 at alpha = 1 puts the root at x = n/theta = 1e309, past double range
+        argv = command[:1] + ["--n", "1000", "--alpha", "1", "--theta", "1e-306"] + command[1:]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "saddle tilt" in captured.err
+
     def test_regime_guard_exits_four(self, capsys):
         # alpha = 95 at n = 2000 is critical; the diverging battery refuses
         code = run(

@@ -353,6 +353,35 @@ class TestGeometricScan:
                 first_rescaled.append(events[0][0])
         assert min(first_rescaled) <= b  # a window rescaled while it held h_1..h_19
 
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("c", [3 * exact._SCAN_PANEL + 5, 8 * exact._SCAN_PANEL + 1])
+    @pytest.mark.parametrize("b", [0, 19, "(c-1)//2"])
+    def test_block_sums_of_the_older_window(self, monkeypatch, any_length, b, c, theta):
+        # Each window holds several whole panels, read through their stored
+        # sums, and a partial block at each end. The narrow rescale range of
+        # test_rescale_inside_a_panel rescales windows that hold stored sums:
+        # a rescale from k > 0 on ends past c.
+        monkeypatch.setattr(exact, "_RESCALE_HI", 2.0**4)
+        monkeypatch.setattr(exact, "_RESCALE_LO", 2.0**-4)
+        events = []
+        stored_logs = exact._stored_logs
+        monkeypatch.setattr(exact, "_stored_logs", lambda G, ev: events.extend(ev) or stored_logs(G, ev))
+        if b == "(c-1)//2":
+            b = (c - 1) // 2
+        N = c + 2 * exact._SCAN_PANEL + 5
+        late_rescales = 0
+        for slope in (2e-3, -2e-3):  # growing and decaying tables
+            logw = math.log(theta) + slope * np.arange(1, c + 1)
+            logw[:b] = -np.inf
+            for n in (N, c // 2):  # and a table shorter than the row
+                events.clear()
+                got = exact._geometric_scan(logw, n)
+                assert got is not None
+                assert_same_logs(got, log_linear_dp_reference(logw, n), 1e-12)
+                assert np.array_equal(got, exact._geometric_scan(logw, n))
+                late_rescales += sum(lo > 0 for lo, _ in events)
+        assert late_rescales >= 1
+
     def test_bit_identical_reruns(self):
         for b in (0, 19):  # a model table and the row without weights 1..19
             logw = saddle_row(10**5, 17782)

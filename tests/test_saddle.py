@@ -5,7 +5,7 @@ import pytest
 
 from cyclecap.errors import ConstraintError, DomainError, NumericalError, RegimeError
 import cyclecap.saddle as saddle_module
-from cyclecap.exact import egf_coefficients, expected_cycle_count
+from cyclecap.exact import egf_coefficients, expected_cycle_count, longest_cycle_cdf
 from cyclecap.model import ConstraintModel, WeightArray
 from cyclecap.saddle import (
     CONSTANT_ONE,
@@ -84,6 +84,16 @@ class TestSolveSaddle:
         sol = solve_saddle(WeightArray.constant(1e10, 1), 1e-320)
         assert sol.x == 0.0
         assert sol.mu[0] == pytest.approx(1e-320, rel=1e-3)  # subnormal: few digits
+
+    def test_root_past_double_range_is_a_numerical_error(self):
+        # x = n/theta = 1e309 does not fit in a double; the tables' retilt meets it too
+        with pytest.raises(NumericalError, match="saddle tilt"):
+            solve_saddle(WeightArray.constant(1e-306, 1), 1000.0)
+        with pytest.raises(NumericalError, match="saddle tilt"):
+            longest_cycle_cdf(ConstraintModel(n=1000, alpha=3, theta=1e-306), 1)
+        # the largest roots that fit keep their value
+        sol = solve_saddle(WeightArray.constant(1e-300, 1), 1000.0)
+        assert sol.x == pytest.approx(1e303, rel=1e-12)
 
     def test_c_multiplier(self):
         model = ConstraintModel(n=100, alpha=10, theta=1.0)
